@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
 
 #include "bench_util.hpp"
 #include "controller/controller.hpp"
@@ -261,87 +260,6 @@ double measureLookupsPerSec(int entries) {
   return best;
 }
 
-// -- Shard-scaling sweep for BENCH_engine_shards.json ------------------------
-
-/// One sharded run of an IMB Alltoall on a full-testbed instance (the fig13
-/// "simulator" side). Engine geometry is injected through SDT_SHARDS /
-/// SDT_SIM_WORKERS, the same knobs users have, so the sweep measures exactly
-/// what an env-configured run gets.
-struct ShardPoint {
-  double wallSeconds = 0.0;
-  double eventsPerSec = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t barrierWindows = 0;
-  double avgWindowNs = 0.0;
-  std::uint64_t crossShardEvents = 0;
-  TimeNs act = 0;
-};
-
-ShardPoint runShardPoint(const topo::Topology& topo,
-                         const routing::RoutingAlgorithm& routing, int nodes,
-                         int shards, int workers) {
-  setenv("SDT_SHARDS", std::to_string(shards).c_str(), 1);
-  setenv("SDT_SIM_WORKERS", std::to_string(workers).c_str(), 1);
-  ShardPoint best;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto inst = testbed::makeFullTestbed(topo, routing, {});
-    const workloads::Workload w = workloads::imbAlltoall(nodes, 32 * 1024, 2);
-    const std::vector<int> rankMap = bench::selectHosts(topo.numHosts(), nodes);
-    const testbed::RunResult run = testbed::runWorkload(inst, w, rankMap);
-    if (rep == 0 || run.wallSeconds < best.wallSeconds) {
-      best.wallSeconds = run.wallSeconds;
-      best.events = run.events;
-      best.eventsPerSec = static_cast<double>(run.events) / run.wallSeconds;
-      best.barrierWindows = inst.sim->barrierWindows();
-      best.avgWindowNs = inst.sim->avgWindowNs();
-      best.crossShardEvents = inst.sim->crossShardEvents();
-      best.act = run.act;
-    }
-  }
-  unsetenv("SDT_SHARDS");
-  unsetenv("SDT_SIM_WORKERS");
-  return best;
-}
-
-void writeShardScalingReport() {
-  std::printf("\n== shard scaling: IMB Alltoall on Dragonfly(4,9,2) ==\n");
-  const topo::Topology topo = topo::makeDragonfly(4, 9, 2);
-  auto algo = routing::makeRouting("dragonfly-minimal", topo);
-  if (!algo.ok()) {
-    std::fprintf(stderr, "WARN: routing failed, skipping shard sweep\n");
-    return;
-  }
-  bench::JsonReport report("engine_shards");
-  std::printf("%6s %7s %12s %14s %10s %12s %12s\n", "nodes", "shards",
-              "events/s", "speedup vs 1", "windows", "avg win ns", "cross-ev");
-  bench::printRule(80);
-  for (const int nodes : {8, 32}) {
-    double base = 0.0;
-    for (const int k : {1, 2, 4, 8}) {
-      const ShardPoint p = runShardPoint(topo, *algo.value(), nodes, k, k);
-      if (k == 1) base = p.eventsPerSec;
-      const double speedup = base > 0.0 ? p.eventsPerSec / base : 0.0;
-      std::printf("%6d %7d %12.0f %14.2f %10llu %12.0f %12llu\n", nodes, k,
-                  p.eventsPerSec, speedup,
-                  static_cast<unsigned long long>(p.barrierWindows), p.avgWindowNs,
-                  static_cast<unsigned long long>(p.crossShardEvents));
-      report.row("points",
-                 {{"nodes", nodes},
-                  {"shards", k},
-                  {"workers", k},
-                  {"events", static_cast<std::int64_t>(p.events)},
-                  {"wall_seconds", p.wallSeconds},
-                  {"events_per_sec", p.eventsPerSec},
-                  {"speedup_vs_1shard", speedup},
-                  {"barrier_windows", static_cast<std::int64_t>(p.barrierWindows)},
-                  {"avg_window_ns", p.avgWindowNs},
-                  {"cross_shard_events", static_cast<std::int64_t>(p.crossShardEvents)},
-                  {"act_ns", static_cast<std::int64_t>(p.act)}});
-    }
-  }
-  report.write();
-}
-
 void writeHeadlineReport() {
   bench::JsonReport report("engine_microbench");
   report.set("events_per_sec", measureEventsPerSec());
@@ -362,6 +280,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   writeHeadlineReport();
-  writeShardScalingReport();
   return 0;
 }

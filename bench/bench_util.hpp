@@ -56,11 +56,8 @@ class JsonReport {
   bool write() const {
     const std::string path = "BENCH_" + name_ + ".json";
     json::Object root = root_;
-    // Engine geometry + hardware context: every report records the shard
-    // count the run used (SDT_SHARDS) and the machine's thread budget, so
-    // numbers from different PRs/machines are comparable at a glance.
-    root["shards"] = static_cast<std::int64_t>(sim::Simulator::envShards());
-    root["sim_workers"] = static_cast<std::int64_t>(sim::Simulator::envWorkers());
+    // Hardware context: every report records the machine's thread budget,
+    // so numbers from different machines are comparable at a glance.
     root["hw_threads"] =
         static_cast<std::int64_t>(std::thread::hardware_concurrency());
     root["metrics"] = obs::metricsToJson(metrics_);  // {} when nothing attached

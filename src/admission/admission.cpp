@@ -65,8 +65,6 @@ StatusOr Policy::validate() const {
 AdmissionController::AdmissionController(sim::Simulator& sim, sim::Network& net,
                                          Policy policy)
     : sim_(&sim), net_(&net), policy_(policy) {
-  lanes_.resize(static_cast<std::size_t>(sim.numShards()));
-  brokerShardFill_.assign(static_cast<std::size_t>(sim.numShards()), 0.0);
   buckets_.resize(static_cast<std::size_t>(net.numHosts()));
   for (HostBucket& b : buckets_) {
     b.credits = static_cast<double>(policy_.creditBurstBytes);
@@ -78,24 +76,18 @@ void AdmissionController::attachMetrics(obs::Registry& registry) {
   // catches a fabric far past collapse).
   const std::vector<double> fillBounds = {0.05, 0.1, 0.25, 0.5, 0.75,
                                           1.0,  1.5, 2.0,  4.0};
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    const obs::Labels shardLabel = {{"shard", std::to_string(s)}};
-    ShardLane& lane = lanes_[s];
-    lane.pressureGauge =
-        &registry.gauge("sdt_adm_pressure", shardLabel,
-                        "global overload pressure as seen by one shard");
-    lane.fillHist = &registry.histogram(
-        "sdt_adm_queue_fill", fillBounds, shardLabel,
-        "sampled max egress occupancy / high watermark, per shard");
-    for (int c = 0; c < kNumPriorities; ++c) {
-      for (int d = 0; d < 3; ++d) {
-        obs::Labels labels = shardLabel;
-        labels.emplace_back("class", priorityName(static_cast<Priority>(c)));
-        labels.emplace_back("decision", decisionName(static_cast<Decision>(d)));
-        lane.decisionCtr[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)] =
-            &registry.counter("sdt_adm_decisions_total", labels,
-                              "admission decisions by class and outcome");
-      }
+  pressureGauge_ =
+      &registry.gauge("sdt_adm_pressure", {}, "global overload pressure");
+  fillHist_ = &registry.histogram("sdt_adm_queue_fill", fillBounds, {},
+                                  "sampled max egress occupancy / high watermark");
+  for (int c = 0; c < kNumPriorities; ++c) {
+    for (int d = 0; d < 3; ++d) {
+      const obs::Labels labels = {
+          {"class", priorityName(static_cast<Priority>(c))},
+          {"decision", decisionName(static_cast<Decision>(d))}};
+      decisionCtr_[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)] =
+          &registry.counter("sdt_adm_decisions_total", labels,
+                            "admission decisions by class and outcome");
     }
   }
 }
@@ -103,15 +95,7 @@ void AdmissionController::attachMetrics(obs::Registry& registry) {
 void AdmissionController::start(TimeNs until) {
   assert(policy_.validate().ok() && "invalid admission policy");
   const TimeNs first = std::min<TimeNs>(policy_.sampleInterval, until);
-  for (int s = 0; s < sim_->numShards(); ++s) {
-    // Top-level scheduleOn adopts the destination shard as sender, so the
-    // arm itself is shard-local and needs no lookahead padding.
-    sim_->scheduleOn(s, first, [this, s, until]() { sampleShard(s, until); });
-  }
-}
-
-double AdmissionController::pressure() const {
-  return lanes_[static_cast<std::size_t>(sim_->currentShard())].pressure;
+  sim_->schedule(first, [this, until]() { sample(until); });
 }
 
 double AdmissionController::rateFraction(double pressure) const {
@@ -137,22 +121,18 @@ void AdmissionController::settle(HostBucket& bucket, double pressure, int host) 
 Decision AdmissionController::request(int srcHost, Priority cls, std::int64_t bytes) {
   assert(srcHost >= 0 && srcHost < net_->numHosts());
   assert(bytes > 0);
-  const int shard = net_->hostShard(srcHost);
-  assert(sim_->currentShard() == shard &&
-         "admission request must run on the source host's shard");
-  ShardLane& lane = lanes_[static_cast<std::size_t>(shard)];
   const auto ci = static_cast<std::size_t>(priorityIndex(cls));
-  ClassCounters& cc = lane.counters[ci];
+  ClassCounters& cc = counters_[ci];
   ++cc.requested;
 
   Decision decision = Decision::kAdmit;
   if (policy_.enabled) {
     const ClassPolicy& cp = policy_.classes[ci];
-    if (lane.pressure >= cp.shedAtPressure) {
+    if (pressure_ >= cp.shedAtPressure) {
       decision = Decision::kShed;
     } else {
       HostBucket& bucket = buckets_[static_cast<std::size_t>(srcHost)];
-      settle(bucket, lane.pressure, srcHost);
+      settle(bucket, pressure_, srcHost);
       const double charge = static_cast<double>(bytes) / cp.utilityWeight;
       if (bucket.credits >= charge) {
         bucket.credits -= charge;
@@ -175,26 +155,23 @@ Decision AdmissionController::request(int srcHost, Priority cls, std::int64_t by
       cc.shedBytes += bytes;
       break;
   }
-  if (obs::Counter* ctr = lane.decisionCtr[ci][static_cast<std::size_t>(decision)]) {
+  if (obs::Counter* ctr = decisionCtr_[ci][static_cast<std::size_t>(decision)]) {
     ctr->inc();
   }
   return decision;
 }
 
-void AdmissionController::sampleShard(int shard, TimeNs until) {
-  ShardLane& lane = lanes_[static_cast<std::size_t>(shard)];
-  ++lane.samples;
+void AdmissionController::sample(TimeNs until) {
+  ++samples_;
   std::int64_t maxBytes = 0;
   if (!watchPorts_.empty()) {
     // Tenant-scoped sampling: only the slice's own queues feed pressure, so
     // a co-tenant's congestion never throttles this controller's hosts.
     for (const auto& [sw, p] : watchPorts_) {
-      if (net_->switchShard(sw) != shard) continue;
       maxBytes = std::max(maxBytes, net_->switchEgressBytes(sw, p));
     }
   } else {
     for (int sw = 0; sw < net_->numSwitches(); ++sw) {
-      if (net_->switchShard(sw) != shard) continue;
       const int ports = net_->switchPortCount(sw);
       for (int p = 0; p < ports; ++p) {
         maxBytes = std::max(maxBytes, net_->switchEgressBytes(sw, p));
@@ -203,53 +180,22 @@ void AdmissionController::sampleShard(int shard, TimeNs until) {
   }
   const double fill = static_cast<double>(maxBytes) /
                       static_cast<double>(policy_.queueHighWatermarkBytes);
-  if (lane.fillHist != nullptr) lane.fillHist->observe(fill);
-  sim_->scheduleOn(0, sim_->crossDelay(0, policy_.signalDelay),
-                   [this, shard, fill]() { brokerUpdate(shard, fill); });
+  if (fillHist_ != nullptr) fillHist_->observe(fill);
+  sim_->schedule(policy_.signalDelay, [this, fill]() { brokerUpdate(fill); });
   if (sim_->now() + policy_.sampleInterval <= until) {
-    sim_->scheduleOn(shard, policy_.sampleInterval,
-                     [this, shard, until]() { sampleShard(shard, until); });
+    sim_->schedule(policy_.sampleInterval, [this, until]() { sample(until); });
   }
 }
 
-void AdmissionController::brokerUpdate(int shard, double fill) {
-  assert(sim_->currentShard() == 0);
-  brokerShardFill_[static_cast<std::size_t>(shard)] = fill;
-  const double raw =
-      *std::max_element(brokerShardFill_.begin(), brokerShardFill_.end());
-  smoothedPressure_ = policy_.pressureSmoothing * raw +
+void AdmissionController::brokerUpdate(double fill) {
+  smoothedPressure_ = policy_.pressureSmoothing * fill +
                       (1.0 - policy_.pressureSmoothing) * smoothedPressure_;
   const double global = smoothedPressure_;
   peakPressure_ = std::max(peakPressure_, global);
-  for (int d = 0; d < sim_->numShards(); ++d) {
-    sim_->scheduleOn(d, sim_->crossDelay(d, policy_.signalDelay), [this, d, global]() {
-      ShardLane& lane = lanes_[static_cast<std::size_t>(d)];
-      lane.pressure = global;
-      if (lane.pressureGauge != nullptr) lane.pressureGauge->set(global);
-    });
-  }
-}
-
-AdmissionController::ClassCounters AdmissionController::classCounters(
-    Priority cls) const {
-  const auto ci = static_cast<std::size_t>(priorityIndex(cls));
-  ClassCounters out;
-  for (const ShardLane& lane : lanes_) {
-    const ClassCounters& cc = lane.counters[ci];
-    out.requested += cc.requested;
-    out.admitted += cc.admitted;
-    out.deferred += cc.deferred;
-    out.shed += cc.shed;
-    out.admittedBytes += cc.admittedBytes;
-    out.shedBytes += cc.shedBytes;
-  }
-  return out;
-}
-
-std::uint64_t AdmissionController::samplesTaken() const {
-  std::uint64_t n = 0;
-  for (const ShardLane& lane : lanes_) n += lane.samples;
-  return n;
+  sim_->schedule(policy_.signalDelay, [this, global]() {
+    pressure_ = global;
+    if (pressureGauge_ != nullptr) pressureGauge_->set(global);
+  });
 }
 
 }  // namespace sdt::admission

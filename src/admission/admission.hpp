@@ -11,13 +11,13 @@
 // edge instead of as queue collapse in the core.
 //
 // Mechanism, end to end:
-//   1. Per-shard samplers read the egress occupancy of the switches their
-//      shard owns every `sampleInterval` and reduce it to a fill fraction
-//      (max queue bytes / queueHighWatermarkBytes).
-//   2. Samples flow to a broker homed on shard 0, which folds them into one
-//      global *pressure* value (max over shards) and broadcasts it back —
-//      both legs travel as lookahead-padded events, so the signal path is
-//      exactly as deterministic as the data plane.
+//   1. A sampler reads the switches' egress occupancy every
+//      `sampleInterval` and reduces it to a fill fraction (max queue bytes /
+//      queueHighWatermarkBytes).
+//   2. Samples flow to a broker, which smooths them into one global
+//      *pressure* value and broadcasts it back — both legs travel as
+//      simulator events, so the signal path is exactly as deterministic as
+//      the data plane.
 //   3. Each host owns a credit bucket refilled at
 //      lineRate x rateFraction(pressure): full rate while the fabric is
 //      calm, throttled linearly toward `creditRateFractionFloor` as
@@ -27,13 +27,6 @@
 //   4. Above a per-class pressure threshold the class is shed outright
 //      (SLO-aware: bronze gives up long before gold), and a flow that
 //      cannot afford its charge is deferred for the caller to retry.
-//
-// Shard-safety/determinism contract: request() must be called from the
-// source host's owning shard (workload drivers already run flow starts
-// there); every piece of mutable state — buckets, per-shard pressure copy,
-// decision counters — is touched only from its owning shard's event
-// context, so serial and K-worker parallel runs of the same K are
-// bit-identical. Merged statistics are computed at read time.
 #pragma once
 
 #include <array>
@@ -81,7 +74,7 @@ struct Policy {
       ClassPolicy{2.0, msToNs(10.0), 0.9},
       ClassPolicy{1.0, msToNs(50.0), 0.6},
   };
-  /// Queue-depth sampling period per shard.
+  /// Queue-depth sampling period.
   TimeNs sampleInterval = usToNs(100.0);
   /// Egress occupancy that counts as pressure 1.0. Sits below the lossy
   /// drop cap so admission reacts before the fabric starts dropping.
@@ -101,7 +94,7 @@ struct Policy {
   /// Bucket capacity (burst allowance) in credit units (~bytes at weight 1).
   std::int64_t creditBurstBytes = 64 * kKiB;
   /// Modeled propagation of a pressure signal leg (sampler->broker and
-  /// broker->shard). Padded up to the engine lookahead when crossing shards.
+  /// broker->hosts).
   TimeNs signalDelay = usToNs(1.0);
   /// Suggested retry spacing for deferred flows (drivers own the retry loop).
   TimeNs deferDelay = usToNs(50.0);
@@ -120,7 +113,7 @@ const char* decisionName(Decision d);
 
 class AdmissionController {
  public:
-  /// The network must already be wired and partitioned (builder does both).
+  /// The network must already be wired (the builder does this).
   AdmissionController(sim::Simulator& sim, sim::Network& net, Policy policy = {});
 
   /// Replace the policy. Call before start() / outside a run (the
@@ -128,10 +121,8 @@ class AdmissionController {
   void setPolicy(const Policy& policy) { policy_ = policy; }
   [[nodiscard]] const Policy& policy() const { return policy_; }
 
-  /// Wire decision counters, pressure gauges, and queue-fill histograms
-  /// into `registry` (per-shard labels: every cell is written by exactly
-  /// one shard, keeping parallel exports bit-identical). Call before
-  /// start().
+  /// Wire decision counters, the pressure gauge, and the queue-fill
+  /// histogram into `registry`. Call before start().
   void attachMetrics(obs::Registry& registry);
 
   /// Restrict the pressure samplers to these (switch, egress port) pairs
@@ -143,18 +134,17 @@ class AdmissionController {
     watchPorts_ = std::move(ports);
   }
 
-  /// Arm the per-shard pressure samplers; they self-stop once the next
-  /// sample would land past `until`. Call before Simulator::run().
+  /// Arm the pressure sampler; it self-stops once the next sample would
+  /// land past `until`. Call before Simulator::run().
   void start(TimeNs until);
 
   /// Ask to inject a flow of `bytes` at priority `cls` from `srcHost`.
-  /// Must run in the source host's shard context (assert-checked).
   Decision request(int srcHost, Priority cls, std::int64_t bytes);
 
-  /// Pressure as seen by the current shard (workloads/tests introspection).
-  [[nodiscard]] double pressure() const;
+  /// Latest broadcast pressure (workloads/tests introspection).
+  [[nodiscard]] double pressure() const { return pressure_; }
 
-  // -- Merged statistics (read post-run or from a serial context) -----------
+  // -- Statistics -------------------------------------------------------------
   struct ClassCounters {
     std::uint64_t requested = 0;
     std::uint64_t admitted = 0;
@@ -163,25 +153,15 @@ class AdmissionController {
     std::int64_t admittedBytes = 0;
     std::int64_t shedBytes = 0;
   };
-  [[nodiscard]] ClassCounters classCounters(Priority cls) const;
-  /// Queue samples taken across all shards.
-  [[nodiscard]] std::uint64_t samplesTaken() const;
+  [[nodiscard]] ClassCounters classCounters(Priority cls) const {
+    return counters_[static_cast<std::size_t>(priorityIndex(cls))];
+  }
+  /// Queue samples taken.
+  [[nodiscard]] std::uint64_t samplesTaken() const { return samples_; }
   /// Highest global pressure the broker ever computed.
   [[nodiscard]] double peakPressure() const { return peakPressure_; }
 
  private:
-  /// Mutable state owned by one shard; alignment keeps parallel shard
-  /// threads off each other's cache lines.
-  struct alignas(64) ShardLane {
-    double pressure = 0.0;  ///< latest broadcast global pressure
-    std::array<ClassCounters, kNumPriorities> counters{};
-    std::uint64_t samples = 0;
-    // Obs cells (pre-created in attachMetrics; null when not attached).
-    obs::Gauge* pressureGauge = nullptr;
-    obs::Histogram* fillHist = nullptr;
-    std::array<std::array<obs::Counter*, 3>, kNumPriorities> decisionCtr{};
-  };
-
   struct HostBucket {
     double credits = 0.0;
     TimeNs settledAt = 0;
@@ -189,19 +169,24 @@ class AdmissionController {
 
   [[nodiscard]] double rateFraction(double pressure) const;
   void settle(HostBucket& bucket, double pressure, int host);
-  void sampleShard(int shard, TimeNs until);
-  void brokerUpdate(int shard, double fill);  ///< runs on shard 0
+  void sample(TimeNs until);
+  void brokerUpdate(double fill);
 
   sim::Simulator* sim_;
   sim::Network* net_;
   Policy policy_;
   /// Non-empty: the only (switch, port) queues the samplers read.
   std::vector<std::pair<int, int>> watchPorts_;
-  std::vector<ShardLane> lanes_;          ///< one per shard
-  std::vector<HostBucket> buckets_;       ///< one per host (owner-shard access)
-  std::vector<double> brokerShardFill_;   ///< broker state: shard 0 only
-  double smoothedPressure_ = 0.0;         ///< broker state: shard 0 only
-  double peakPressure_ = 0.0;             ///< broker state: shard 0 only
+  std::vector<HostBucket> buckets_;  ///< one per host
+  double pressure_ = 0.0;            ///< latest broadcast global pressure
+  double smoothedPressure_ = 0.0;    ///< broker state
+  double peakPressure_ = 0.0;        ///< broker state
+  std::array<ClassCounters, kNumPriorities> counters_{};
+  std::uint64_t samples_ = 0;
+  // Obs cells (pre-created in attachMetrics; null when not attached).
+  obs::Gauge* pressureGauge_ = nullptr;
+  obs::Histogram* fillHist_ = nullptr;
+  std::array<std::array<obs::Counter*, 3>, kNumPriorities> decisionCtr_{};
 };
 
 }  // namespace sdt::admission

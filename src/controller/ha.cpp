@@ -254,7 +254,7 @@ bool ReplicatedController::acceptLeader(int to, int from, std::uint64_t term) {
 // -- Heartbeats / lease ------------------------------------------------------
 
 void ReplicatedController::scheduleHeartbeat(int id, std::uint64_t gen) {
-  sim_->scheduleOn(0, config_.heartbeatPeriod, [this, tok = alive_, id, gen]() {
+  sim_->schedule(config_.heartbeatPeriod, [this, tok = alive_, id, gen]() {
     if (!*tok) return;
     heartbeatTick(id, gen);
   });
@@ -311,7 +311,7 @@ void ReplicatedController::sendAck(int leader, int standby) {
 }
 
 void ReplicatedController::scheduleLeaseCheck(int id) {
-  sim_->scheduleOn(0, config_.leaseInterval / 2, [this, tok = alive_, id]() {
+  sim_->schedule(config_.leaseInterval / 2, [this, tok = alive_, id]() {
     if (!*tok) return;
     leaseCheck(id);
   });
@@ -332,7 +332,7 @@ void ReplicatedController::leaseCheck(int id) {
   const TimeNs expiredAt = s.lastHeartbeatAt + config_.leaseInterval;
   const TimeNs stagger =
       static_cast<TimeNs>(rankOf(id)) * config_.electionStagger;
-  sim_->scheduleOn(0, stagger, [this, tok = alive_, id, gen, expiredAt]() {
+  sim_->schedule(stagger, [this, tok = alive_, id, gen, expiredAt]() {
     if (!*tok) return;
     Replica& c = rep(id);
     if (stopped_ || !c.alive || gen != c.electionGen || c.leader) return;
@@ -563,7 +563,7 @@ void ReplicatedController::requestCatchup(int id, int leaderHint) {
   });
   // Backstop: a lost request or reply must not wedge the flag forever; the
   // next gap signal (frame or heartbeat) re-requests.
-  sim_->scheduleOn(0, config_.leaseInterval, [this, tok = alive_, id, gen]() {
+  sim_->schedule(config_.leaseInterval, [this, tok = alive_, id, gen]() {
     if (!*tok) return;
     Replica& r = rep(id);
     if (stopped_ || !r.alive || gen != r.catchupGen) return;

@@ -20,9 +20,9 @@ namespace sdt::routing {
 class ShortestPathRouting : public RoutingAlgorithm {
  public:
   /// Load estimate for (switch, out port) — typically queued bytes.
-  /// Shard-safety contract: the oracle runs inside a data-plane forwarding
-  /// decision on the switch's owning shard, so it must read only state owned
-  /// by that switch (its own egress queues), never another shard's.
+  /// The oracle runs inside the data-plane forwarding decision at `sw`, so
+  /// it should read only what that switch can see locally (its own egress
+  /// queues), as a real switch would.
   using CongestionOracle = std::function<double(topo::SwitchId, topo::PortId)>;
 
   explicit ShortestPathRouting(const topo::Topology& topo);

@@ -64,7 +64,6 @@ BuiltNetwork buildLogicalNetwork(Simulator& sim, const topo::Topology& topo,
     net.connectHost(hl.host, hl.attach.sw, hl.attach.port, hl.speed,
                     config.hostPropDelay);
   }
-  net.partitionShards();
   return built;
 }
 
@@ -153,7 +152,6 @@ BuiltNetwork buildProjectedNetwork(Simulator& sim, const topo::Topology& topo,
     const projection::PhysPort pp = projection.hostPortOf(h);
     net.connectHost(h, pp.sw, pp.port, topo.hostLink(h).speed, config.hostPropDelay);
   }
-  net.partitionShards();
   return built;
 }
 

@@ -54,9 +54,9 @@ class EpochConsistencyChecker {
   /// epoch); ignored when `matched` is false.
   void onLookup(std::uint64_t packetId, int sw, bool matched,
                 std::uint32_t ruleEpoch) {
-    // Forwarders on different shards call in concurrently during parallel
-    // runs; the checker is a cross-cutting observer, so it serializes here
-    // rather than forcing the data plane onto one shard.
+    // The checker is a cross-cutting observer that callers may share across
+    // threads; the lock keeps that safe at the cost of an uncontended
+    // acquire per lookup.
     const std::lock_guard<std::mutex> lock(mu_);
     ++lookups_;
     Track& t = tracks_[packetId];

@@ -11,10 +11,8 @@
 //   - every send() draws a fixed number of values (4) from a dedicated
 //     xoshiro stream regardless of configuration, so the same seed yields
 //     the same impairment schedule no matter which probabilities are zero;
-//   - deliveries are scheduled through the slot-arena Simulator and pinned
-//     to shard 0 (the control plane is home-sharded: controller, channel,
-//     and switch-agent callbacks all execute there), so runs are
-//     bit-identical across repeats and serial-vs-parallel sweeps;
+//   - deliveries are scheduled through the slot-arena Simulator, so runs
+//     are bit-identical across repeats and serial-vs-parallel sweeps;
 //   - disconnect windows are explicit [from, until) intervals per switch,
 //     composable with a FaultInjector schedule (e.g. drop the management
 //     link of the switch whose data ports are being reconfigured).
@@ -63,11 +61,7 @@ class ControlChannel {
  public:
   ControlChannel(Simulator& sim, std::uint64_t seed,
                  ControlChannelConfig config = {})
-      : sim_(&sim), config_(config), rng_(seed ^ 0xC7A22E15C0DE5ULL) {
-    // Deliveries run controller handlers that mutate flow tables on
-    // arbitrary shards; pin the engine to the serial merge loop.
-    sim_->requireSerial();
-  }
+      : sim_(&sim), config_(config), rng_(seed ^ 0xC7A22E15C0DE5ULL) {}
 
   [[nodiscard]] const ControlChannelConfig& config() const { return config_; }
   void setConfig(const ControlChannelConfig& config) { config_ = config; }
@@ -115,17 +109,13 @@ class ControlChannel {
     if (dupDraw < config_.dupProb) {
       ++stats_.duplicated;
       recordDelay(delay + config_.dupSpacing);
-      sim_->scheduleOn(0, delay + config_.dupSpacing, [this, deliver]() {
+      sim_->schedule(delay + config_.dupSpacing, [this, deliver]() {
         ++stats_.delivered;
         deliver();
       });
     }
     recordDelay(delay);
-    // Shard 0 is the control plane's home shard. Management traffic is
-    // out-of-band (it never races data-plane shards), and reconfig/recovery
-    // suites run the engine in serial mode, where the pin costs nothing but
-    // keeps delivery order independent of the caller's shard.
-    sim_->scheduleOn(0, delay, [this, deliver = std::move(deliver)]() {
+    sim_->schedule(delay, [this, deliver = std::move(deliver)]() {
       ++stats_.delivered;
       deliver();
     });

@@ -29,16 +29,7 @@ FaultInjector::FaultInjector(Simulator& sim, Network& net, std::uint64_t seed)
 void FaultInjector::arm() {
   for (; armed_ < schedule_.size(); ++armed_) {
     const FaultSpec spec = schedule_[armed_];
-    // Cable cuts flip both ends of a link, which may live on different
-    // shards; arming any physical fault pins the engine to the serial merge
-    // loop so no worker thread races the mutation. Overload faults only
-    // poke shard-0 workload generators and keep parallel runs parallel.
-    if (faultKindNeedsSerial(spec.kind)) sim_->requireSerial();
-    // Fire on the shard that owns the faulted switch so the port mutation is
-    // shard-local; overload (and other switch-less) events fire on shard 0,
-    // where the serving-workload generators live.
-    const int shard = spec.sw >= 0 ? net_->switchShard(spec.sw) : 0;
-    sim_->scheduleAtOn(shard, spec.at, [this, spec]() { apply(spec); });
+    sim_->scheduleAt(spec.at, [this, spec]() { apply(spec); });
   }
 }
 

@@ -148,8 +148,7 @@ class FaultInjector {
   }
 
   /// Receiver for kOverload* faults (typically a workload driver's rate
-  /// scaler). Overload events fire on shard 0, where the serving-workload
-  /// generators live; sinks must only touch shard-0-owned state.
+  /// scaler).
   void setOverloadSink(std::function<void(const FaultSpec&)> sink) {
     overloadSink_ = std::move(sink);
   }
@@ -184,13 +183,5 @@ class FaultInjector {
   double controlFailureProb_ = 0.0;
   std::function<void(const FaultSpec&)> overloadSink_;
 };
-
-/// True for fault kinds that mutate plant state possibly owned by another
-/// shard (cable peers, crash tables): arming any of these pins the engine
-/// serial. kOverload* events only drive shard-0 workload generators, so an
-/// overload-only schedule keeps worker threads alive.
-[[nodiscard]] constexpr bool faultKindNeedsSerial(FaultKind kind) {
-  return kind != FaultKind::kOverloadStorm && kind != FaultKind::kOverloadEnd;
-}
 
 }  // namespace sdt::sim

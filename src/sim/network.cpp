@@ -37,59 +37,15 @@ int Network::addSwitch(int numPorts, Forwarder forwarder, TimeNs extraLatency) {
   dev.forwarder = std::move(forwarder);
   dev.extraLatency = extraLatency;
   switches_.push_back(std::move(dev));
-  switchShard_.push_back(0);
   return static_cast<int>(switches_.size()) - 1;
 }
 
 int Network::addHost() {
   hosts_.emplace_back();
-  hostShard_.push_back(0);
   return static_cast<int>(hosts_.size()) - 1;
 }
 
-void Network::partitionShards() {
-  const int k = sim_->numShards();
-  if (k <= 1) return;
-  const int n = numSwitches();
-  for (int sw = 0; sw < n; ++sw) {
-    // Contiguous blocks: generated topologies number neighbors contiguously
-    // (pods, groups, mesh rows), so block partitioning keeps most links
-    // shard-local without knowing the topology family.
-    switchShard_[sw] = static_cast<int>(
-        (static_cast<std::int64_t>(sw) * k) / std::max(n, 1));
-  }
-  for (int h = 0; h < numHosts(); ++h) {
-    const NodeRef peer = hosts_[h].nic.peer;
-    hostShard_[h] = peer.kind == NodeRef::Kind::kSwitch ? switchShard_[peer.idx] : 0;
-  }
-}
-
-void Network::seedFaultRng(std::uint64_t seed) {
-  for (std::size_t s = 0; s < shardState_.size(); ++s) {
-    // Shard 0 keeps the legacy stream; other shards get splitmix-salted
-    // substreams so no two shards ever consume the same draws.
-    const std::uint64_t salt = s * 0x9E3779B97F4A7C15ULL;
-    shardState_[s].faultRng = Rng(seed ^ salt);
-  }
-}
-
-std::uint64_t Network::totalDrops() const {
-  std::uint64_t sum = 0;
-  for (const ShardState& st : shardState_) sum += st.totalDrops;
-  return sum;
-}
-
-std::uint64_t Network::faultDrops() const {
-  std::uint64_t sum = 0;
-  for (const ShardState& st : shardState_) sum += st.faultDrops;
-  return sum;
-}
-
-std::int64_t Network::peakQueueBytes() const {
-  std::int64_t peak = 0;
-  for (const ShardState& st : shardState_) peak = std::max(peak, st.peakQueueBytes);
-  return peak;
-}
+void Network::seedFaultRng(std::uint64_t seed) { faultRng_ = Rng(seed); }
 
 void Network::connectSwitches(int sw1, int p1, int sw2, int p2, Gbps speed,
                               TimeNs propDelay) {
@@ -149,12 +105,8 @@ Network::Port& Network::portOf(NodeRef node, int port) {
 void Network::injectFromHost(int host, Packet packet) {
   packet.simIngressPort = -1;
   packet.injectedAt = sim_->now();
-  // NIC processing happens before the wire. Transports inject from the
-  // host's own shard so this is shard-local; top-level injections (tests)
-  // are routed to the owner with the lookahead pad.
-  const int shard = hostShard_[host];
-  sim_->scheduleOn(shard, sim_->crossDelay(shard, config_.nicLatency),
-                   [this, host, packet]() mutable {
+  // NIC processing happens before the wire.
+  sim_->schedule(config_.nicLatency, [this, host, packet]() mutable {
     enqueueEgress(NodeRef{NodeRef::Kind::kHost, host}, 0, std::move(packet));
   });
 }
@@ -208,13 +160,8 @@ void Network::sendPause(int sw, int inPort, int cls, bool pause) {
   const NodeRef peer = p.peer;
   const int peerPort = p.peerPort;
   if (!peer.valid()) return;
-  // PAUSE frames cross the same cable as data: deliver on the upstream
-  // node's shard, padded to the lookahead horizon when that is a different
-  // shard (a shard-boundary latency floor, applied identically in serial
-  // and parallel runs of the same K).
-  const int peerShard = shardOf(peer);
-  sim_->scheduleOn(peerShard, sim_->crossDelay(peerShard, config_.pfcCtrlDelay),
-                   [this, peer, peerPort, cls, pause]() {
+  // PAUSE frames cross the same cable as data.
+  sim_->schedule(config_.pfcCtrlDelay, [this, peer, peerPort, cls, pause]() {
     Port& upstream = portOf(peer, peerPort);
     upstream.egress.paused[cls] = pause;
     if (!pause) kickService(peer, peerPort);
@@ -228,11 +175,10 @@ void Network::enqueueEgress(NodeRef node, int port, Packet packet) {
   assert(cls >= 0 && cls < kNumClasses);
   const bool isSwitch = node.kind == NodeRef::Kind::kSwitch;
 
-  ShardState& st = stateFor(node);
   if (isSwitch) {
     if (!config_.pfcEnabled &&
         p.egress.totalBytes + packet.wireBytes() > config_.lossyQueueCapBytes) {
-      ++st.totalDrops;
+      ++totalDrops_;
       ++p.counters.drops;
       return;
     }
@@ -248,12 +194,12 @@ void Network::enqueueEgress(NodeRef node, int port, Packet packet) {
   p.egress.totalBytes += packet.wireBytes();
   // Peak occupancy is a *switch buffer* invariant (hosts may stage
   // arbitrarily large software send queues).
-  if (isSwitch) st.peakQueueBytes = std::max(st.peakQueueBytes, p.egress.totalBytes);
-  const std::uint32_t pooled = st.pool.acquire(std::move(packet));
+  if (isSwitch) peakQueueBytes_ = std::max(peakQueueBytes_, p.egress.totalBytes);
+  const std::uint32_t pooled = pool_.acquire(std::move(packet));
   if (p.egress.tail[cls] == kNil) {
     p.egress.head[cls] = pooled;
   } else {
-    st.pool.linkAfter(p.egress.tail[cls], pooled);
+    pool_.linkAfter(p.egress.tail[cls], pooled);
   }
   p.egress.tail[cls] = pooled;
   kickService(node, port);
@@ -269,7 +215,6 @@ void Network::kickService(NodeRef node, int port) {
 
 void Network::serviceEgress(NodeRef node, int port) {
   Port& p = portOf(node, port);
-  ShardState& st = stateFor(node);
   p.serviceScheduled = false;
   if (p.stalled) return;  // wedged transmitter: backlog builds, counters freeze
   if (!p.up) {
@@ -284,16 +229,16 @@ void Network::serviceEgress(NodeRef node, int port) {
     }
     if (cls < 0) return;
     const std::uint32_t pooled = p.egress.head[cls];
-    p.egress.head[cls] = st.pool.nextOf(pooled);
+    p.egress.head[cls] = pool_.nextOf(pooled);
     if (p.egress.head[cls] == kNil) p.egress.tail[cls] = kNil;
-    const Packet packet = st.pool.release(pooled);
+    const Packet packet = pool_.release(pooled);
     p.egress.bytes[cls] -= packet.wireBytes();
     p.egress.totalBytes -= packet.wireBytes();
     if (node.kind == NodeRef::Kind::kSwitch && packet.simIngressPort >= 0) {
       releaseIngress(node.idx, packet.simIngressPort, packet);
     }
-    ++st.totalDrops;
-    ++st.faultDrops;
+    ++totalDrops_;
+    ++faultDrops_;
     ++p.counters.drops;
     ++p.counters.faultDrops;
     kickService(node, port);
@@ -314,9 +259,9 @@ void Network::serviceEgress(NodeRef node, int port) {
   if (cls < 0) return;  // empty or fully paused; enqueue/unpause re-kicks
 
   const std::uint32_t pooled = p.egress.head[cls];
-  p.egress.head[cls] = st.pool.nextOf(pooled);
+  p.egress.head[cls] = pool_.nextOf(pooled);
   if (p.egress.head[cls] == kNil) p.egress.tail[cls] = kNil;
-  Packet packet = st.pool.release(pooled);
+  Packet packet = pool_.release(pooled);
   p.egress.bytes[cls] -= packet.wireBytes();
   p.egress.totalBytes -= packet.wireBytes();
 
@@ -339,12 +284,7 @@ void Network::serviceEgress(NodeRef node, int port) {
   } else {
     arrivalDelay = ser + p.propDelay;
   }
-  // The hop to the neighbor is the conservative-lookahead edge: when the
-  // peer lives on another shard, the arrival is padded up to the horizon
-  // and travels through the shard mailboxes.
-  const int peerShard = shardOf(peer);
-  sim_->scheduleOn(peerShard, sim_->crossDelay(peerShard, arrivalDelay),
-                   [this, peer, peerInPort, packet = std::move(packet)]() mutable {
+  sim_->schedule(arrivalDelay, [this, peer, peerInPort, packet = std::move(packet)]() mutable {
     if (peer.kind == NodeRef::Kind::kSwitch) {
       arriveAtSwitch(peer.idx, peerInPort, std::move(packet));
     } else {
@@ -359,32 +299,31 @@ void Network::serviceEgress(NodeRef node, int port) {
 void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
   SwitchDev& dev = switches_[sw];
   Port& p = dev.ports[inPort];
-  ShardState& st = shardState_[switchShard_[sw]];
   ++p.counters.rxPackets;
   p.counters.rxBytes += static_cast<std::uint64_t>(packet.wireBytes());
 
   if (!p.up) {  // link went down while the frame was in flight
-    ++st.totalDrops;
-    ++st.faultDrops;
+    ++totalDrops_;
+    ++faultDrops_;
     ++p.counters.drops;
     ++p.counters.faultDrops;
     return;
   }
-  if (p.dropProb > 0.0 && st.faultRng.uniform() < p.dropProb) {
-    ++st.totalDrops;
-    ++st.faultDrops;
+  if (p.dropProb > 0.0 && faultRng_.uniform() < p.dropProb) {
+    ++totalDrops_;
+    ++faultDrops_;
     ++p.counters.drops;
     ++p.counters.faultDrops;
     return;
   }
-  if (p.corruptProb > 0.0 && st.faultRng.uniform() < p.corruptProb) {
+  if (p.corruptProb > 0.0 && faultRng_.uniform() < p.corruptProb) {
     packet.corrupted = true;
     ++p.counters.corruptedPackets;
   }
 
   const ForwardResult decision = dev.forwarder(packet, inPort);
   if (decision.drop || decision.outPort < 0) {
-    ++st.totalDrops;
+    ++totalDrops_;
     ++p.counters.drops;
     return;
   }
@@ -403,9 +342,8 @@ void Network::deliverToHost(int host, const Packet& packet) {
   ++dev.nic.counters.rxPackets;
   dev.nic.counters.rxBytes += static_cast<std::uint64_t>(packet.wireBytes());
   if (packet.corrupted) {  // NIC CRC check rejects the damaged frame
-    ShardState& st = shardState_[hostShard_[host]];
-    ++st.totalDrops;
-    ++st.faultDrops;
+    ++totalDrops_;
+    ++faultDrops_;
     ++dev.nic.counters.drops;
     ++dev.nic.counters.faultDrops;
     return;

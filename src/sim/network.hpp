@@ -99,9 +99,7 @@ struct PortCounters {
 
 class Network {
  public:
-  Network(Simulator& sim, NetworkConfig config) : sim_(&sim), config_(config) {
-    shardState_.resize(static_cast<std::size_t>(sim.numShards()));
-  }
+  Network(Simulator& sim, NetworkConfig config) : sim_(&sim), config_(config) {}
 
   // -- Construction ---------------------------------------------------------
   int addSwitch(int numPorts, Forwarder forwarder, TimeNs extraLatency = 0);
@@ -118,17 +116,6 @@ class Network {
   /// Observation hook for every packet reaching the host ("Wireshark",
   /// used by the §VI-B isolation experiment).
   void setSniffer(int host, std::function<void(const Packet&)> sniffer);
-
-  // -- Sharding -------------------------------------------------------------
-  /// Partition the (fully wired) topology across the simulator's shards:
-  /// switches in contiguous blocks, each host on its attached switch's
-  /// shard. Call after construction, before the run. With 1 shard this is a
-  /// no-op (everything already lives on shard 0). Mutable per-shard engine
-  /// state (packet pool, drop/peak counters, fault RNG streams) is keyed by
-  /// the owning node's shard, so parallel windows never share it.
-  void partitionShards();
-  [[nodiscard]] int switchShard(int sw) const { return switchShard_[sw]; }
-  [[nodiscard]] int hostShard(int host) const { return hostShard_[host]; }
 
   // -- Fault injection (sim::FaultInjector drives these) --------------------
   /// Take a switch port down/up. A down port black-holes: its egress queue
@@ -147,12 +134,10 @@ class Network {
   /// check). Draws come from the fault RNG in event order, so runs with the
   /// same seed are bit-identical.
   void setPortImpairment(int sw, int port, double dropProb, double corruptProb);
-  /// Seed the impairment RNG. Each shard draws from its own substream
-  /// (shard 0's is the legacy stream, so 1-shard runs are bit-identical to
-  /// the pre-sharding engine); draws happen in the owning shard's event
-  /// order, so fixed-K runs are deterministic serial or parallel.
+  /// Seed the impairment RNG. Draws happen in event order, so runs with the
+  /// same seed are bit-identical.
   void seedFaultRng(std::uint64_t seed);
-  [[nodiscard]] std::uint64_t faultDrops() const;
+  [[nodiscard]] std::uint64_t faultDrops() const { return faultDrops_; }
   /// Peer (switch, port) wired to (sw, port), if the peer is a switch —
   /// what a cable cut must take down on the far side.
   [[nodiscard]] std::optional<std::pair<int, int>> switchPeerOf(int sw, int port) const {
@@ -167,7 +152,7 @@ class Network {
   [[nodiscard]] Gbps hostLinkSpeed(int host) const;
   [[nodiscard]] std::int64_t switchEgressBytes(int sw, int port) const;
   [[nodiscard]] const PortCounters& switchPortCounters(int sw, int port) const;
-  [[nodiscard]] std::uint64_t totalDrops() const;
+  [[nodiscard]] std::uint64_t totalDrops() const { return totalDrops_; }
   [[nodiscard]] int numSwitches() const { return static_cast<int>(switches_.size()); }
   [[nodiscard]] int numHosts() const { return static_cast<int>(hosts_.size()); }
   [[nodiscard]] int switchPortCount(int sw) const {
@@ -176,7 +161,7 @@ class Network {
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
   /// Maximum egress occupancy seen anywhere (lossless-invariant tests).
-  [[nodiscard]] std::int64_t peakQueueBytes() const;
+  [[nodiscard]] std::int64_t peakQueueBytes() const { return peakQueueBytes_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
@@ -252,23 +237,6 @@ class Network {
     std::function<void(const Packet&)> sniffer;
   };
 
-  /// Mutable engine-side state owned by one shard. Keyed by the shard of
-  /// the node an operation touches, so parallel shard threads never share
-  /// a pool node, a counter, or an RNG stream.
-  struct ShardState {
-    PacketPool pool;
-    std::uint64_t totalDrops = 0;
-    std::uint64_t faultDrops = 0;
-    std::int64_t peakQueueBytes = 0;
-    Rng faultRng;  ///< impairment draws only; untouched when no fault armed
-  };
-
-  [[nodiscard]] int shardOf(NodeRef node) const {
-    return node.kind == NodeRef::Kind::kSwitch ? switchShard_[node.idx]
-                                               : hostShard_[node.idx];
-  }
-  ShardState& stateFor(NodeRef node) { return shardState_[shardOf(node)]; }
-
   Port& portOf(NodeRef node, int port);
   void enqueueEgress(NodeRef node, int port, Packet packet);
   void kickService(NodeRef node, int port);
@@ -283,9 +251,11 @@ class Network {
   NetworkConfig config_;
   std::vector<SwitchDev> switches_;
   std::vector<HostDev> hosts_;
-  std::vector<ShardState> shardState_;  ///< one per simulator shard
-  std::vector<int> switchShard_;        ///< owning shard per switch (default 0)
-  std::vector<int> hostShard_;          ///< owning shard per host (default 0)
+  PacketPool pool_;
+  std::uint64_t totalDrops_ = 0;
+  std::uint64_t faultDrops_ = 0;
+  std::int64_t peakQueueBytes_ = 0;
+  Rng faultRng_;  ///< impairment draws only; untouched when no fault armed
 };
 
 }  // namespace sdt::sim

@@ -19,7 +19,7 @@ std::uint64_t rdmaFlowId(int src, int dst, int vc) {
 
 TransportManager::TransportManager(Simulator& sim, Network& net, TransportConfig config)
     : sim_(&sim), net_(&net), config_(config) {
-  lanes_.resize(static_cast<std::size_t>(net.numHosts()));
+  rdmaDelivered_.resize(static_cast<std::size_t>(net.numHosts()));
   for (int h = 0; h < net.numHosts(); ++h) {
     net_->setReceiver(h, [this, h](const Packet& p) { onHostPacket(h, p); });
   }
@@ -42,9 +42,9 @@ void TransportManager::onHostPacket(int host, const Packet& packet) {
       }
       break;
     case PacketKind::kCnp: {
-      // A CNP is delivered to the data sender, whose lane owns the flow.
-      auto& flows = lanes_[static_cast<std::size_t>(host)].rdmaFlows;
-      if (auto it = flows.find(packet.flowId); it != flows.end()) {
+      // A CNP acts only on a flow the receiving host sources.
+      if (auto it = rdmaFlows_.find(packet.flowId);
+          it != rdmaFlows_.end() && it->second.src == host) {
         onCnp(it->second);
       }
       break;
@@ -55,7 +55,6 @@ void TransportManager::onHostPacket(int host, const Packet& packet) {
       }
       break;
   }
-  (void)host;
 }
 
 // ---------------------------------------------------------------------------
@@ -64,9 +63,8 @@ void TransportManager::onHostPacket(int host, const Packet& packet) {
 
 TransportManager::RdmaFlow& TransportManager::rdmaFlowFor(int src, int dst, int vc) {
   const std::uint64_t id = rdmaFlowId(src, dst, vc);
-  auto& flows = lanes_[static_cast<std::size_t>(src)].rdmaFlows;
-  auto it = flows.find(id);
-  if (it == flows.end()) {
+  auto it = rdmaFlows_.find(id);
+  if (it == rdmaFlows_.end()) {
     RdmaFlow flow;
     flow.flowId = id;
     flow.src = src;
@@ -74,7 +72,7 @@ TransportManager::RdmaFlow& TransportManager::rdmaFlowFor(int src, int dst, int 
     flow.vc = vc;
     flow.rateGbps = net_->hostLinkSpeed(src).value;
     flow.targetGbps = flow.rateGbps;
-    it = flows.emplace(id, std::move(flow)).first;
+    it = rdmaFlows_.emplace(id, std::move(flow)).first;
   }
   return it->second;
 }
@@ -84,35 +82,13 @@ std::uint64_t TransportManager::sendMessage(int src, int dst, std::int64_t bytes
   assert(bytes > 0);
   assert(src != dst && "loopback messages never touch the fabric");
   RdmaFlow& flow = rdmaFlowFor(src, dst, vc);
-  HostLane& srcLane = lanes_[static_cast<std::size_t>(src)];
-  const std::uint64_t id = hostTaggedId(src, srcLane.nextMessageId++);
+  const std::uint64_t id = nextMessageId_++;
   flow.sendQueue.push_back(RdmaPending{id, bytes, 0});
-  // Receiver-side completion state lives on the destination lane. When the
-  // destination is on another shard, registration travels as a padded
-  // cross-shard event; the first data packet needs strictly longer than one
-  // lookahead to reach the destination (NIC latency + the padded fabric
-  // hop), so registration always lands first. The branch depends only on
-  // the shard map, so serial-K and parallel-K schedule identical events, and
-  // K==1 keeps the legacy direct write.
-  const int dstShard = net_->hostShard(dst);
-  if (sim_->numShards() == 1 || dstShard == net_->hostShard(src)) {
-    HostLane& dstLane = lanes_[static_cast<std::size_t>(dst)];
-    dstLane.rdmaRecv[{flow.flowId, id}] = RdmaRecvState{};
-    dstLane.rdmaMsgState[id] = RdmaMsgState{bytes, std::move(onDelivered)};
-  } else {
-    sim_->scheduleOn(dstShard, sim_->crossDelay(dstShard, 0),
-                     [this, fid = flow.flowId, id, dst, bytes,
-                      cb = std::move(onDelivered)]() mutable {
-      HostLane& dstLane = lanes_[static_cast<std::size_t>(dst)];
-      dstLane.rdmaRecv[{fid, id}] = RdmaRecvState{};
-      dstLane.rdmaMsgState[id] = RdmaMsgState{bytes, std::move(cb)};
-    });
-  }
+  rdmaRecv_[{flow.flowId, id}] = RdmaRecvState{};
+  rdmaMsgState_[id] = RdmaMsgState{bytes, std::move(onDelivered)};
   if (!flow.pumping) {
     flow.pumping = true;
-    sim_->schedule(0, [this, src, fid = flow.flowId]() {
-      rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-    });
+    sim_->schedule(0, [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
   }
   return id;
 }
@@ -127,22 +103,18 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
   // short and retry once the backlog should have drained.
   if (net_->hostQueueBytes(flow.src) > config_.nicBackpressureBytes) {
     const Time retry = Gbps{hostLineRateGbps_}.serializationNs(config_.nicBackpressureBytes);
-    sim_->schedule(std::max<Time>(retry, 500), [this, src = flow.src, fid = flow.flowId]() {
-      rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-    });
+    sim_->schedule(std::max<Time>(retry, 500),
+                   [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
     return;
   }
   if (now < flow.nextSendAt) {
     sim_->schedule(flow.nextSendAt - now,
-                   [this, src = flow.src, fid = flow.flowId]() {
-                     rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-                   });
+                   [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
     return;
   }
   RdmaPending& msg = flow.sendQueue.front();
-  HostLane& srcLane = lanes_[static_cast<std::size_t>(flow.src)];
   Packet pkt;
-  pkt.id = hostTaggedId(flow.src, srcLane.nextPacketId++);
+  pkt.id = nextPacketId_++;
   pkt.flowId = flow.flowId;
   pkt.srcHost = flow.src;
   pkt.dstHost = flow.dst;
@@ -160,28 +132,25 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
   // Pace at the DCQCN current rate.
   flow.nextSendAt = std::max(now, flow.nextSendAt) + Gbps{flow.rateGbps}.serializationNs(wire);
   sim_->schedule(std::max<Time>(0, flow.nextSendAt - now),
-                 [this, src = flow.src, fid = flow.flowId]() {
-                   rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-                 });
+                 [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
 }
 
 void TransportManager::onRdmaData(const Packet& packet) {
-  HostLane& lane = lanes_[static_cast<std::size_t>(packet.dstHost)];
   const auto key = std::pair{packet.flowId, packet.messageId};
-  const auto it = lane.rdmaRecv.find(key);
-  if (it == lane.rdmaRecv.end()) return;  // stray (e.g. isolation-test cross-talk)
+  const auto it = rdmaRecv_.find(key);
+  if (it == rdmaRecv_.end()) return;  // stray (e.g. isolation-test cross-talk)
   it->second.receivedBytes += packet.payloadBytes;
-  lane.rdmaDelivered += packet.payloadBytes;
+  rdmaDelivered_[static_cast<std::size_t>(packet.dstHost)] += packet.payloadBytes;
 
   // DCQCN notification point: echo congestion back to the sender, at most
   // one CNP per cnpInterval per flow.
   if (packet.ecnMarked && config_.dcqcn.enabled) {
     const Time now = sim_->now();
-    Time& last = lane.cnpLastSent[packet.flowId];
+    Time& last = cnpLastSent_[packet.flowId];
     if (last == 0 || now - last >= config_.dcqcn.cnpInterval) {
       last = now;
       Packet cnp;
-      cnp.id = hostTaggedId(packet.dstHost, lane.nextPacketId++);
+      cnp.id = nextPacketId_++;
       cnp.flowId = packet.flowId;
       cnp.srcHost = packet.dstHost;
       cnp.dstHost = packet.srcHost;
@@ -189,17 +158,17 @@ void TransportManager::onRdmaData(const Packet& packet) {
       cnp.vc = kControlClass;
       cnp.payloadBytes = 0;
       net_->injectFromHost(packet.dstHost, std::move(cnp));
-      ++lane.cnpsSent;
+      ++cnpsSent_;
     }
   }
 
   // Message completion.
-  const auto msgIt = lane.rdmaMsgState.find(packet.messageId);
-  if (msgIt == lane.rdmaMsgState.end()) return;
+  const auto msgIt = rdmaMsgState_.find(packet.messageId);
+  if (msgIt == rdmaMsgState_.end()) return;
   if (it->second.receivedBytes >= msgIt->second.bytes) {
     auto cb = std::move(msgIt->second.onDelivered);
-    lane.rdmaMsgState.erase(msgIt);
-    lane.rdmaRecv.erase(it);
+    rdmaMsgState_.erase(msgIt);
+    rdmaRecv_.erase(it);
     if (cb) cb(packet.messageId, sim_->now());
   }
 }
@@ -220,9 +189,8 @@ void TransportManager::onCnp(RdmaFlow& flow) {
 }
 
 void TransportManager::rdmaTimer(std::uint64_t flowId) {
-  auto& flows = lanes_[static_cast<std::size_t>(rdmaFlowSrc(flowId))].rdmaFlows;
-  auto it = flows.find(flowId);
-  if (it == flows.end()) return;
+  auto it = rdmaFlows_.find(flowId);
+  if (it == rdmaFlows_.end()) return;
   RdmaFlow& flow = it->second;
   const DcqcnConfig& dc = config_.dcqcn;
   const double lineRate = net_->hostLinkSpeed(flow.src).value;
@@ -268,14 +236,10 @@ std::int64_t TransportManager::tcpDeliveredBytes(std::uint64_t flowId) const {
 }
 
 std::int64_t TransportManager::rdmaDeliveredBytes(int host) const {
-  return lanes_[static_cast<std::size_t>(host)].rdmaDelivered;
+  return rdmaDelivered_[static_cast<std::size_t>(host)];
 }
 
-std::uint64_t TransportManager::cnpsSent() const {
-  std::uint64_t sum = 0;
-  for (const HostLane& lane : lanes_) sum += lane.cnpsSent;
-  return sum;
-}
+std::uint64_t TransportManager::cnpsSent() const { return cnpsSent_; }
 
 Time TransportManager::tcpRto(const TcpFlow& flow) const {
   if (flow.srtt <= 0.0) return msToNs(1.0);
@@ -308,10 +272,9 @@ void TransportManager::tcpPump(TcpFlow& flow) {
   const std::int64_t dataEnd =
       flow.totalBytes < 0 ? std::numeric_limits<std::int64_t>::max() : flow.totalBytes;
   bool sent = false;
-  HostLane& srcLane = lanes_[static_cast<std::size_t>(flow.src)];
   while (flow.nextSeq < std::min(windowEnd, dataEnd)) {
     Packet pkt;
-    pkt.id = hostTaggedId(flow.src, srcLane.nextPacketId++);
+    pkt.id = nextPacketId_++;
     pkt.flowId = flow.flowId;
     pkt.srcHost = flow.src;
     pkt.dstHost = flow.dst;
@@ -336,7 +299,7 @@ void TransportManager::onTcpData(TcpFlow& flow, const Packet& packet) {
     flow.deliveredBytes += packet.payloadBytes;
   }
   Packet ack;
-  ack.id = hostTaggedId(flow.dst, lanes_[static_cast<std::size_t>(flow.dst)].nextPacketId++);
+  ack.id = nextPacketId_++;
   ack.flowId = flow.flowId;
   ack.srcHost = flow.dst;
   ack.dstHost = flow.src;

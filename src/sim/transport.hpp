@@ -43,13 +43,6 @@ struct TransportConfig {
 /// Receiver-side completion: (message id, delivery time).
 using MessageCallback = std::function<void(std::uint64_t, Time)>;
 
-// Sharding note: RoCE state is split into per-host "lanes" so that a sharded
-// run touches each lane only from the shard that owns the host — sender-side
-// flow state lives with the source host, receiver-side completion state with
-// the destination host, and cross-shard receive registration travels through
-// a lookahead-padded event. TCP flows remain a single serial-mode structure
-// (documented below); none of the current sharded workloads drive TCP.
-
 class TransportManager {
  public:
   TransportManager(Simulator& sim, Network& net, TransportConfig config);
@@ -75,8 +68,6 @@ class TransportManager {
   [[nodiscard]] std::int64_t rdmaDeliveredBytes(int host) const;
 
   [[nodiscard]] std::uint64_t cnpsSent() const;
-
-  [[nodiscard]] const Network& network() const { return *net_; }
 
  private:
   struct RdmaPending {
@@ -155,34 +146,17 @@ class TransportManager {
   TransportConfig config_;
   double hostLineRateGbps_ = 10.0;
 
-  /// All RoCE state a single host owns. A lane is only ever touched from the
-  /// shard the host lives on, so sharded runs need no locks here.
-  struct HostLane {
-    std::map<std::uint64_t, RdmaFlow> rdmaFlows;  ///< flows sourced by this host
-    std::map<std::pair<std::uint64_t, std::uint64_t>, RdmaRecvState>
-        rdmaRecv;                                      ///< this host as receiver
-    std::map<std::uint64_t, RdmaMsgState> rdmaMsgState;  ///< by message id
-    std::map<std::uint64_t, Time> cnpLastSent;           ///< by flow id
-    std::int64_t rdmaDelivered = 0;
-    std::uint64_t nextMessageId = 1;
-    std::uint64_t nextPacketId = 1;
-    std::uint64_t cnpsSent = 0;
-  };
+  std::map<std::uint64_t, RdmaFlow> rdmaFlows_;  ///< by flow id
+  std::map<std::pair<std::uint64_t, std::uint64_t>, RdmaRecvState>
+      rdmaRecv_;                                      ///< by (flow id, message id)
+  std::map<std::uint64_t, RdmaMsgState> rdmaMsgState_;  ///< by message id
+  std::map<std::uint64_t, Time> cnpLastSent_;           ///< by flow id
+  std::vector<std::int64_t> rdmaDelivered_;             ///< by destination host
+  std::uint64_t cnpsSent_ = 0;
+  /// Message/packet ids are opaque labels — nothing orders on them.
+  std::uint64_t nextMessageId_ = 1;
+  std::uint64_t nextPacketId_ = 1;
 
-  /// Message/packet ids are host-tagged so per-lane counters never collide:
-  /// `(host+1) << 40 | n`. Ids are opaque labels — nothing orders on them.
-  static std::uint64_t hostTaggedId(int host, std::uint64_t n) {
-    return (static_cast<std::uint64_t>(host) + 1) << 40 | n;
-  }
-  /// Recover the source host from an RDMA flow id (see rdmaFlowId()).
-  static int rdmaFlowSrc(std::uint64_t flowId) {
-    return static_cast<int>((flowId >> 22) & 0x3FFFF);
-  }
-
-  std::vector<HostLane> lanes_;  ///< indexed by host id
-
-  // TCP is serial-mode only: flow creation and demux share this one map, so
-  // TCP workloads must run with a single worker (SDT_SIM_WORKERS=1).
   std::map<std::uint64_t, TcpFlow> tcpFlows_;
   std::uint64_t nextTcpFlow_ = 1;
 };

@@ -578,7 +578,6 @@ sim::BuiltNetwork TenantManager::buildNetwork(sim::Simulator& sim,
                       slice.topology->hostLink(h).speed, config.hostPropDelay);
     }
   }
-  net.partitionShards();
   return built;
 }
 

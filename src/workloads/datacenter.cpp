@@ -16,24 +16,13 @@ std::uint64_t sourceSeed(std::uint64_t base, std::size_t idx) {
   return detail::splitmix64(mix);
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnvMix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
-
 }  // namespace
 
 ServingRuntime::ServingRuntime(sim::Simulator& sim, sim::Network& net,
                                sim::TransportManager& transport,
                                ServingConfig config)
-    : sim_(&sim), net_(&net), transport_(&transport), config_(config) {
+    : sim_(&sim), transport_(&transport), config_(config) {
   assert(config_.duration > 0);
-  shardStats_.resize(static_cast<std::size_t>(sim.numShards()));
   hostScale_.assign(static_cast<std::size_t>(net.numHosts()), 1.0);
 }
 
@@ -79,8 +68,6 @@ void ServingRuntime::addBurstyMix(BurstyMixSpec spec) {
 
 void ServingRuntime::attachOverload(sim::FaultInjector& injector) {
   injector.setOverloadSink([this](const sim::FaultSpec& spec) {
-    // Runs on shard 0 (switch-less faults fire there), same as the
-    // generators that read these scales.
     const bool storm = spec.kind == sim::FaultKind::kOverloadStorm;
     const double scale = storm ? spec.intensity : 1.0;
     if (spec.srcHost < 0) {
@@ -97,24 +84,20 @@ void ServingRuntime::setHostRateScale(int host, double scale) {
 }
 
 void ServingRuntime::attachMetrics(obs::Registry& registry) {
-  for (std::size_t s = 0; s < shardStats_.size(); ++s) {
-    ShardStats& stats = shardStats_[s];
-    for (int c = 0; c < admission::kNumPriorities; ++c) {
-      const char* cls = admission::priorityName(static_cast<Priority>(c));
-      const obs::Labels base = {{"shard", std::to_string(s)}, {"class", cls}};
-      obs::Labels hit = base;
-      hit.emplace_back("result", "hit");
-      obs::Labels miss = base;
-      miss.emplace_back("result", "miss");
-      const auto ci = static_cast<std::size_t>(c);
-      stats.sloHitCtr[ci] = &registry.counter(
-          "sdt_dc_slo_total", hit, "serving completions scored against the class SLO");
-      stats.sloMissCtr[ci] = &registry.counter("sdt_dc_slo_total", miss,
-                                               "serving completions scored against the class SLO");
-      stats.latencyHist[ci] =
-          &registry.histogram("sdt_dc_flow_latency_ns", obs::latencyBucketsNs(), base,
-                              "serving unit completion latency (ns)");
-    }
+  for (int c = 0; c < admission::kNumPriorities; ++c) {
+    const char* cls = admission::priorityName(static_cast<Priority>(c));
+    const obs::Labels base = {{"class", cls}};
+    obs::Labels hit = base;
+    hit.emplace_back("result", "hit");
+    obs::Labels miss = base;
+    miss.emplace_back("result", "miss");
+    const auto ci = static_cast<std::size_t>(c);
+    sloHitCtr_[ci] = &registry.counter("sdt_dc_slo_total", hit,
+                                       "serving completions scored against the class SLO");
+    sloMissCtr_[ci] = &registry.counter("sdt_dc_slo_total", miss,
+                                        "serving completions scored against the class SLO");
+    latencyHist_[ci] = &registry.histogram("sdt_dc_flow_latency_ns", obs::latencyBucketsNs(),
+                                           base, "serving unit completion latency (ns)");
   }
 }
 
@@ -133,11 +116,6 @@ TimeNs ServingRuntime::sloFor(Priority cls) const {
   return p.classes[static_cast<std::size_t>(priorityIndex(cls))].sloNs;
 }
 
-ServingRuntime::ClassStats& ServingRuntime::statsHere(Priority cls) {
-  return shardStats_[static_cast<std::size_t>(sim_->currentShard())]
-      .perClass[static_cast<std::size_t>(priorityIndex(cls))];
-}
-
 void ServingRuntime::start() {
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     Source& src = sources_[i];
@@ -151,7 +129,7 @@ void ServingRuntime::start() {
                             : src.bursty.meanFlowInterval;
     const auto first = std::max<TimeNs>(
         1, static_cast<TimeNs>(src.rng.exponential(static_cast<double>(mean))));
-    sim_->scheduleOn(0, config_.start + first, [this, i]() { sourceTick(i); });
+    sim_->schedule(config_.start + first, [this, i]() { sourceTick(i); });
   }
 }
 
@@ -196,7 +174,7 @@ void ServingRuntime::sourceTick(std::size_t idx) {
     }
   }
   next = std::max<TimeNs>(1, next);
-  sim_->scheduleOn(0, next, [this, idx]() { sourceTick(idx); });
+  sim_->schedule(next, [this, idx]() { sourceTick(idx); });
 }
 
 void ServingRuntime::fireIncast(Source& src) {
@@ -226,10 +204,10 @@ void ServingRuntime::firePartAgg(Source& src) {
     for (const int worker : spec.workers) {
       sendUngated(spec.root, worker, spec.requestBytes,
                   [this, spec, worker, remaining, bornAt, unitBytes, cls](TimeNs) {
-                    // Worker shard: answer the root.
+                    // Worker: answer the root.
                     sendUngated(worker, spec.root, spec.responseBytes,
                                 [this, remaining, bornAt, unitBytes, cls](TimeNs at) {
-                                  // Root shard: last response closes the query.
+                                  // Root: last response closes the query.
                                   if (--*remaining == 0) {
                                     recordCompletion(cls, bornAt, at, unitBytes);
                                   }
@@ -247,7 +225,7 @@ void ServingRuntime::fireReplication(Source& src) {
   launchUnit(spec.client, cls, unitBytes, [this, spec, unitBytes, cls](TimeNs bornAt) {
     sendUngated(spec.client, spec.primary, spec.writeBytes,
                 [this, spec, unitBytes, cls, bornAt](TimeNs at) {
-                  // Primary shard: replicate, gather acks, then commit.
+                  // Primary: replicate, gather acks, then commit.
                   auto commit = [this, spec, unitBytes, cls, bornAt]() {
                     sendUngated(spec.primary, spec.client, kCtrlBytes,
                                 [this, unitBytes, cls, bornAt](TimeNs doneAt) {
@@ -263,7 +241,7 @@ void ServingRuntime::fireReplication(Source& src) {
                   for (const int replica : spec.replicas) {
                     sendUngated(spec.primary, replica, spec.writeBytes,
                                 [this, spec, replica, acks, commit](TimeNs) {
-                                  // Replica shard: ack the primary.
+                                  // Replica: ack the primary.
                                   sendUngated(replica, spec.primary, kCtrlBytes,
                                               [acks, commit](TimeNs) {
                                                 if (--*acks == 0) commit();
@@ -294,14 +272,11 @@ void ServingRuntime::fireBurstyFlow(Source& src) {
 
 void ServingRuntime::launchUnit(int srcHost, Priority cls, std::int64_t chargeBytes,
                                 std::function<void(TimeNs)> admitAction) {
-  const int shard = net_->hostShard(srcHost);
-  sim_->scheduleOn(shard, sim_->crossDelay(shard, 0),
-                   [this, srcHost, cls, chargeBytes,
-                    admitAction = std::move(admitAction)]() mutable {
-                     ++statsHere(cls).offered;
-                     tryStart(srcHost, cls, chargeBytes, maxDefers(), sim_->now(),
-                              std::move(admitAction));
-                   });
+  sim_->schedule(0, [this, srcHost, cls, chargeBytes,
+                     admitAction = std::move(admitAction)]() mutable {
+    ++statsFor(cls).offered;
+    tryStart(srcHost, cls, chargeBytes, maxDefers(), sim_->now(), std::move(admitAction));
+  });
 }
 
 void ServingRuntime::tryStart(int srcHost, Priority cls, std::int64_t chargeBytes,
@@ -310,11 +285,11 @@ void ServingRuntime::tryStart(int srcHost, Priority cls, std::int64_t chargeByte
   if (admission_ != nullptr) {
     switch (admission_->request(srcHost, cls, chargeBytes)) {
       case admission::Decision::kShed:
-        ++statsHere(cls).shed;
+        ++statsFor(cls).shed;
         return;
       case admission::Decision::kDefer:
         if (defersLeft > 0) {
-          ++statsHere(cls).deferRetries;
+          ++statsFor(cls).deferRetries;
           sim_->schedule(admission_->policy().deferDelay,
                          [this, srcHost, cls, chargeBytes, defersLeft, bornAt,
                           admitAction = std::move(admitAction)]() mutable {
@@ -322,14 +297,14 @@ void ServingRuntime::tryStart(int srcHost, Priority cls, std::int64_t chargeByte
                                     std::move(admitAction));
                          });
         } else {
-          ++statsHere(cls).shed;
+          ++statsFor(cls).shed;
         }
         return;
       case admission::Decision::kAdmit:
         break;
     }
   }
-  ++statsHere(cls).admitted;
+  ++statsFor(cls).admitted;
   admitAction(bornAt);
 }
 
@@ -343,7 +318,7 @@ void ServingRuntime::sendUngated(int srcHost, int dstHost, std::int64_t bytes,
 
 void ServingRuntime::recordCompletion(Priority cls, TimeNs bornAt, TimeNs completedAt,
                                       std::int64_t bytes) {
-  ClassStats& stats = statsHere(cls);
+  ClassStats& stats = statsFor(cls);
   const TimeNs latency = completedAt - bornAt;
   ++stats.completed;
   stats.completedBytes += bytes;
@@ -356,32 +331,11 @@ void ServingRuntime::recordCompletion(Priority cls, TimeNs bornAt, TimeNs comple
   } else {
     ++stats.sloMiss;
   }
-  ShardStats& shard = shardStats_[static_cast<std::size_t>(sim_->currentShard())];
   const auto ci = static_cast<std::size_t>(priorityIndex(cls));
-  if (shard.latencyHist[ci] != nullptr) {
-    shard.latencyHist[ci]->observe(static_cast<double>(latency));
-    (hit ? shard.sloHitCtr[ci] : shard.sloMissCtr[ci])->inc();
+  if (latencyHist_[ci] != nullptr) {
+    latencyHist_[ci]->observe(static_cast<double>(latency));
+    (hit ? sloHitCtr_[ci] : sloMissCtr_[ci])->inc();
   }
-}
-
-ServingRuntime::ClassStats ServingRuntime::classStats(Priority cls) const {
-  const auto ci = static_cast<std::size_t>(priorityIndex(cls));
-  ClassStats out;
-  for (const ShardStats& shard : shardStats_) {
-    const ClassStats& s = shard.perClass[ci];
-    out.offered += s.offered;
-    out.admitted += s.admitted;
-    out.deferRetries += s.deferRetries;
-    out.shed += s.shed;
-    out.completed += s.completed;
-    out.sloHit += s.sloHit;
-    out.sloMiss += s.sloMiss;
-    out.completedBytes += s.completedBytes;
-    out.sloGoodBytes += s.sloGoodBytes;
-    out.latencySumNs += s.latencySumNs;
-    out.maxLatencyNs = std::max(out.maxLatencyNs, s.maxLatencyNs);
-  }
-  return out;
 }
 
 ServingRuntime::ClassStats ServingRuntime::totalStats() const {
@@ -401,25 +355,6 @@ ServingRuntime::ClassStats ServingRuntime::totalStats() const {
     out.maxLatencyNs = std::max(out.maxLatencyNs, s.maxLatencyNs);
   }
   return out;
-}
-
-std::uint64_t ServingRuntime::statsDigest() const {
-  std::uint64_t h = kFnvOffset;
-  for (int c = 0; c < admission::kNumPriorities; ++c) {
-    const ClassStats s = classStats(static_cast<Priority>(c));
-    fnvMix(h, s.offered);
-    fnvMix(h, s.admitted);
-    fnvMix(h, s.deferRetries);
-    fnvMix(h, s.shed);
-    fnvMix(h, s.completed);
-    fnvMix(h, s.sloHit);
-    fnvMix(h, s.sloMiss);
-    fnvMix(h, static_cast<std::uint64_t>(s.completedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(s.sloGoodBytes));
-    fnvMix(h, s.latencySumNs);
-    fnvMix(h, static_cast<std::uint64_t>(s.maxLatencyNs));
-  }
-  return h;
 }
 
 // ---- MPI-style closed-loop equivalents ------------------------------------

@@ -14,14 +14,11 @@
 //     commit, write-latency SLO over the full chain;
 //   - bursty uniform mix: on/off background traffic between random pairs.
 //
-// Every source is an event-driven generator homed on shard 0 drawing from
-// its own seeded RNG; flow starts are dispatched to the source host's shard
-// (lookahead-padded), where the optional AdmissionController is consulted —
-// admit sends on the RoCE transport, defer retries after Policy::deferDelay
-// up to Policy::maxDefers, then the flow is shed. Completions are scored
-// against the priority class SLO where they land (receiver shard), into
-// per-shard stats merged at read time — the whole pipeline stays
-// bit-identical serial vs K-shard parallel at fixed K.
+// Every source is an event-driven generator drawing from its own seeded RNG;
+// each flow start is dispatched as an event that consults the optional
+// AdmissionController — admit sends on the RoCE transport, defer retries
+// after Policy::deferDelay up to Policy::maxDefers, then the flow is shed.
+// Completions are scored against the priority class SLO where they land.
 //
 // The kOverload fault family drives rate scaling through attachOverload():
 // storms multiply arrival rates fabric-wide or for one rogue source owner.
@@ -107,14 +104,13 @@ class ServingRuntime {
   void addReplication(ReplicationSpec spec);
   void addBurstyMix(BurstyMixSpec spec);
 
-  /// Route kOverload* faults into the rate scaler (sink runs on shard 0,
-  /// where the generators live).
+  /// Route kOverload* faults into the rate scaler.
   void attachOverload(sim::FaultInjector& injector);
 
-  /// Per-shard SLO counters and latency histograms. Call before start().
+  /// Per-class SLO counters and latency histograms. Call before start().
   void attachMetrics(obs::Registry& registry);
 
-  /// Global offered-load multiplier (call pre-run or from shard 0).
+  /// Global offered-load multiplier.
   void setRateScale(double scale) { globalScale_ = scale; }
   /// Multiplier for sources owned by `host` (rogue tenant).
   void setHostRateScale(int host, double scale);
@@ -122,7 +118,7 @@ class ServingRuntime {
   /// Arm the generators (call once, before Simulator::run()).
   void start();
 
-  // -- Merged statistics (read post-run or from a serial context) -----------
+  // -- Statistics -------------------------------------------------------------
   struct ClassStats {
     std::uint64_t offered = 0;        ///< flow/query starts attempted
     std::uint64_t admitted = 0;       ///< entered the fabric
@@ -136,11 +132,10 @@ class ServingRuntime {
     std::uint64_t latencySumNs = 0;
     TimeNs maxLatencyNs = 0;
   };
-  [[nodiscard]] ClassStats classStats(Priority cls) const;
+  [[nodiscard]] ClassStats classStats(Priority cls) const {
+    return perClass_[static_cast<std::size_t>(priorityIndex(cls))];
+  }
   [[nodiscard]] ClassStats totalStats() const;
-  /// FNV-1a digest over every per-class merged counter — the fingerprint the
-  /// determinism suite compares across serial/parallel runs.
-  [[nodiscard]] std::uint64_t statsDigest() const;
 
  private:
   enum class SourceKind : std::uint8_t { kIncast, kPartAgg, kReplication, kBursty };
@@ -157,49 +152,46 @@ class ServingRuntime {
     TimeNs burstEndsAt = 0; ///< bursty only
   };
 
-  struct alignas(64) ShardStats {
-    std::array<ClassStats, admission::kNumPriorities> perClass{};
-    // Obs cells (null when metrics not attached).
-    std::array<obs::Counter*, admission::kNumPriorities> sloHitCtr{};
-    std::array<obs::Counter*, admission::kNumPriorities> sloMissCtr{};
-    std::array<obs::Histogram*, admission::kNumPriorities> latencyHist{};
-  };
-
-  [[nodiscard]] double scaleFor(const Source& src) const;  ///< shard 0 only
+  [[nodiscard]] double scaleFor(const Source& src) const;
   [[nodiscard]] TimeNs deadline() const { return config_.start + config_.duration; }
   [[nodiscard]] int maxDefers() const;
-  void sourceTick(std::size_t idx);       ///< shard 0
+  void sourceTick(std::size_t idx);
   void fireIncast(Source& src);
   void firePartAgg(Source& src);
   void fireReplication(Source& src);
   void fireBurstyFlow(Source& src);
-  /// Dispatch one admission *unit* (flow, query, or replicated write) onto
-  /// `srcHost`'s shard: count it offered, gate it through admission
-  /// (charging `chargeBytes`), and on admit run `admitAction(bornAt)` in
-  /// that shard's context. Defers retry in place; exhausted defers shed.
+  /// Dispatch one admission *unit* (flow, query, or replicated write) from
+  /// `srcHost`: count it offered, gate it through admission (charging
+  /// `chargeBytes`), and on admit run `admitAction(bornAt)`. Defers retry in
+  /// place; exhausted defers shed.
   void launchUnit(int srcHost, Priority cls, std::int64_t chargeBytes,
                   std::function<void(TimeNs)> admitAction);
   void tryStart(int srcHost, Priority cls, std::int64_t chargeBytes,
                 int defersLeft, TimeNs bornAt,
                 std::function<void(TimeNs)> admitAction);
-  /// Raw transport send, no admission gate (sub-flows of an admitted unit).
-  /// Must run on `srcHost`'s shard; `onDone(at)` fires on `dstHost`'s shard.
+  /// Raw transport send, no admission gate (sub-flows of an admitted unit);
+  /// `onDone(at)` fires when the message lands at `dstHost`.
   void sendUngated(int srcHost, int dstHost, std::int64_t bytes,
                    std::function<void(TimeNs)> onDone);
   void recordCompletion(Priority cls, TimeNs bornAt, TimeNs completedAt,
                         std::int64_t bytes);
-  [[nodiscard]] ClassStats& statsHere(Priority cls);
+  [[nodiscard]] ClassStats& statsFor(Priority cls) {
+    return perClass_[static_cast<std::size_t>(priorityIndex(cls))];
+  }
   [[nodiscard]] TimeNs sloFor(Priority cls) const;
 
   sim::Simulator* sim_;
-  sim::Network* net_;
   sim::TransportManager* transport_;
   ServingConfig config_;
   admission::AdmissionController* admission_ = nullptr;
   admission::Policy sloPolicy_;  ///< SLO fallback when admission_ == nullptr
   std::vector<Source> sources_;
-  std::vector<ShardStats> shardStats_;  ///< one per shard
-  // Rate scaling; shard-0-owned (generators and overload sink live there).
+  std::array<ClassStats, admission::kNumPriorities> perClass_{};
+  // Obs cells (null when metrics not attached).
+  std::array<obs::Counter*, admission::kNumPriorities> sloHitCtr_{};
+  std::array<obs::Counter*, admission::kNumPriorities> sloMissCtr_{};
+  std::array<obs::Histogram*, admission::kNumPriorities> latencyHist_{};
+  // Rate scaling (the generators and the overload sink read/write these).
   double globalScale_ = 1.0;
   std::vector<double> hostScale_;
   /// Small control payload for replication acks/commits.

@@ -35,24 +35,8 @@ void MpiRuntime::run(Workload workload) {
   finishedRanks_ = 0;
   barrierWaiting_ = 0;
   for (int r = 0; r < numRanks(); ++r) {
-    // Each rank's program executes entirely on its host's shard.
-    sim_->scheduleOn(rankShard(r), 0, [this, r]() { advance(r); });
+    sim_->schedule(0, [this, r]() { advance(r); });
   }
-}
-
-int MpiRuntime::rankShard(int rank) const {
-  return transport_->network().hostShard(rankToHost_[rank]);
-}
-
-void MpiRuntime::noteFinished(TimeNs rankFinishTime) {
-  ++finishedRanks_;
-  completionTime_ = std::max(completionTime_, rankFinishTime);
-  if (finishedRanks_ == numRanks() && onFinished_) onFinished_();
-}
-
-void MpiRuntime::noteBarrier() {
-  ++barrierWaiting_;
-  if (barrierWaiting_ == numRanks()) releaseBarrier();
 }
 
 void MpiRuntime::advance(int rank) {
@@ -61,12 +45,9 @@ void MpiRuntime::advance(int rank) {
   while (!st.done) {
     if (st.pc >= program.size()) {
       st.done = true;
-      const TimeNs t = sim_->now();
-      if (sim_->numShards() == 1 || sim_->currentShard() == 0) {
-        noteFinished(t);
-      } else {
-        sim_->scheduleOn(0, sim_->crossDelay(0, 0), [this, t]() { noteFinished(t); });
-      }
+      ++finishedRanks_;
+      completionTime_ = std::max(completionTime_, sim_->now());
+      if (finishedRanks_ == numRanks() && onFinished_) onFinished_();
       return;
     }
     const Op& op = program[st.pc];
@@ -84,7 +65,7 @@ void MpiRuntime::advance(int rank) {
         const int dst = op.peer;
         const int tag = op.tag;
         assert(dst >= 0 && dst < numRanks() && dst != rank);
-        messagesSent_.fetch_add(1, std::memory_order_relaxed);
+        ++messagesSent_;
         transport_->sendMessage(
             rankToHost_[rank], rankToHost_[dst], op.bytesOrNs, vc_,
             [this, dst, rank, tag](std::uint64_t, TimeNs) {
@@ -119,11 +100,7 @@ void MpiRuntime::advance(int rank) {
       }
       case Op::Kind::kBarrier: {
         st.inBarrier = true;
-        if (sim_->numShards() == 1 || sim_->currentShard() == 0) {
-          noteBarrier();
-        } else {
-          sim_->scheduleOn(0, sim_->crossDelay(0, 0), [this]() { noteBarrier(); });
-        }
+        if (++barrierWaiting_ == numRanks()) releaseBarrier();
         return;
       }
     }
@@ -143,34 +120,17 @@ void MpiRuntime::onMessageArrived(int dstRank, int srcRank, int tag) {
 
 void MpiRuntime::releaseBarrier() {
   barrierWaiting_ = 0;
-  if (sim_->numShards() == 1) {
-    // Legacy schedule: one release event advancing every rank in order.
-    sim_->schedule(barrierLatency_, [this]() {
-      for (int r = 0; r < numRanks(); ++r) {
-        RankState& st = states_[r];
-        if (st.inBarrier) {
-          st.inBarrier = false;
-          ++st.pc;
-          advance(r);
-        }
-      }
-    });
-    return;
-  }
-  // Sharded: fan one release event out to each rank's own shard. Every rank
-  // is quiescent inside the barrier (its notification to shard 0 happened
-  // before this), so touching its state from the release event is safe.
-  for (int r = 0; r < numRanks(); ++r) {
-    const int shard = rankShard(r);
-    sim_->scheduleOn(shard, sim_->crossDelay(shard, barrierLatency_), [this, r]() {
+  // One release event advancing every rank in order.
+  sim_->schedule(barrierLatency_, [this]() {
+    for (int r = 0; r < numRanks(); ++r) {
       RankState& st = states_[r];
       if (st.inBarrier) {
         st.inBarrier = false;
         ++st.pc;
         advance(r);
       }
-    });
-  }
+    }
+  });
 }
 
 }  // namespace sdt::workloads

@@ -15,7 +15,6 @@
 //  - kCompute advances the rank's clock without touching the network.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -67,7 +66,7 @@ class MpiRuntime {
   [[nodiscard]] TimeNs completionTime() const { return completionTime_; }
   [[nodiscard]] int numRanks() const { return static_cast<int>(rankToHost_.size()); }
   [[nodiscard]] std::int64_t messagesSent() const {
-    return messagesSent_.load(std::memory_order_relaxed);
+    return messagesSent_;
   }
 
   /// Fixed cost of a barrier release (models the tree sync latency).
@@ -92,13 +91,6 @@ class MpiRuntime {
   void advance(int rank);
   void onMessageArrived(int dstRank, int srcRank, int tag);
   void releaseBarrier();
-  // Sharded runs home all cross-rank coordination (finish counting, barrier
-  // counting) on shard 0: rank shards send notification events there instead
-  // of mutating shared counters. With one shard the notifications collapse to
-  // direct calls, preserving the legacy event schedule exactly.
-  void noteFinished(TimeNs rankFinishTime);
-  void noteBarrier();
-  [[nodiscard]] int rankShard(int rank) const;
 
   sim::Simulator* sim_;
   sim::TransportManager* transport_;
@@ -110,7 +102,7 @@ class MpiRuntime {
   int barrierWaiting_ = 0;
   TimeNs barrierLatency_ = usToNs(1.0);
   TimeNs completionTime_ = 0;
-  std::atomic<std::int64_t> messagesSent_{0};
+  std::int64_t messagesSent_ = 0;
   std::function<void()> onFinished_;
 };
 

@@ -1,13 +1,9 @@
 // Tests: the overload-robustness tier — admission::AdmissionController
 // (credit buckets, priority classes, SLO-aware shedding), the datacenter
-// serving workloads that drive it, the kOverload fault family, and the
-// acceptance gate for this subsystem: an incast overload run must stay
-// bit-identical between a serial and a K-worker parallel engine at fixed K.
+// serving workloads that drive it, and the kOverload fault family.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <optional>
-#include <string>
 
 #include "admission/admission.hpp"
 #include "controller/controller.hpp"
@@ -113,10 +109,10 @@ TEST(AdmissionController, DistributeThroughSdtController) {
   EXPECT_GT(adm.policy().classes[0].utilityWeight, 0.0);
 }
 
-/// Run `fn` inside host `h`'s shard context (request() asserts this).
+/// Run `fn` as a simulator event at the current time, then drain the run.
 template <typename Fn>
-void onHostShard(testbed::Instance& inst, int h, Fn fn) {
-  inst.sim->scheduleOn(inst.net().hostShard(h), 0, std::move(fn));
+void runAsEvent(testbed::Instance& inst, Fn fn) {
+  inst.sim->schedule(0, std::move(fn));
   inst.sim->run();
 }
 
@@ -127,7 +123,7 @@ TEST(AdmissionController, DisabledPolicyAdmitsEverything) {
   Policy p;
   p.enabled = false;
   AdmissionController adm(*inst.sim, inst.net(), p);
-  onHostShard(inst, 0, [&]() {
+  runAsEvent(inst, [&]() {
     for (int i = 0; i < 64; ++i) {
       EXPECT_EQ(adm.request(0, Priority::kBronze, 1 * kMiB), Decision::kAdmit);
     }
@@ -148,14 +144,14 @@ TEST(AdmissionController, CreditBucketDrainsAndWeightsBuyBytes) {
 
   // Silver (weight 2): a 64 KiB flow charges 32 Ki credits -> exactly two
   // admits at t=0, then the bucket is dry and the third defers.
-  onHostShard(inst, 0, [&]() {
+  runAsEvent(inst, [&]() {
     EXPECT_EQ(adm.request(0, Priority::kSilver, 64 * kKiB), Decision::kAdmit);
     EXPECT_EQ(adm.request(0, Priority::kSilver, 64 * kKiB), Decision::kAdmit);
     EXPECT_EQ(adm.request(0, Priority::kSilver, 64 * kKiB), Decision::kDefer);
   });
   // Gold (weight 4) buys twice the bytes per credit: four 64 KiB admits from
   // a different host's fresh bucket.
-  onHostShard(inst, 1, [&]() {
+  runAsEvent(inst, [&]() {
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(adm.request(1, Priority::kGold, 64 * kKiB), Decision::kAdmit) << i;
     }
@@ -174,12 +170,11 @@ TEST(AdmissionController, BucketRefillsOverTime) {
 
   // Drain the bucket at t=0, then come back 100us later: at 100 Gbps line
   // rate the refill (~1.25 MB >> burst cap) restores a full bucket.
-  const int shard = inst.net().hostShard(0);
-  inst.sim->scheduleOn(shard, 0, [&]() {
+  inst.sim->schedule(0, [&]() {
     EXPECT_EQ(adm.request(0, Priority::kBronze, 64 * kKiB), Decision::kAdmit);
     EXPECT_EQ(adm.request(0, Priority::kBronze, 64 * kKiB), Decision::kDefer);
   });
-  inst.sim->scheduleOn(shard, usToNs(100.0), [&]() {
+  inst.sim->schedule(usToNs(100.0), [&]() {
     EXPECT_EQ(adm.request(0, Priority::kBronze, 64 * kKiB), Decision::kAdmit);
   });
   inst.sim->run();
@@ -194,8 +189,6 @@ struct OverloadOutcome {
   double peakPressure = 0.0;
   std::uint64_t sheds = 0;       ///< admission-layer shed decisions, all classes
   std::uint64_t samples = 0;
-  std::uint64_t statsDigest = 0;
-  std::uint64_t events = 0;
 };
 
 /// Fat-tree k=4 run lossy (PFC off): 15 hosts incast one aggregator plus a
@@ -241,8 +234,6 @@ OverloadOutcome runIncast(bool admissionOn, double scale) {
   out.totals = rt.totalStats();
   out.peakPressure = adm.peakPressure();
   out.samples = adm.samplesTaken();
-  out.statsDigest = rt.statsDigest();
-  out.events = inst.sim->eventsProcessed();
   for (const Priority cls :
        {Priority::kGold, Priority::kSilver, Priority::kBronze}) {
     out.sheds += adm.classCounters(cls).shed;
@@ -260,7 +251,7 @@ TEST(Overload, AccountingBalancesAndSamplersRun) {
   EXPECT_GT(on.totals.offered, 0u);
   // Every offered unit ends exactly one way.
   EXPECT_EQ(on.totals.offered, on.totals.admitted + on.totals.shed);
-  EXPECT_GT(on.samples, 0u);           // samplers ticked on every shard
+  EXPECT_GT(on.samples, 0u);           // the sampler ticked
   EXPECT_GT(on.peakPressure, 0.0);     // an overloaded fabric showed pressure
   EXPECT_GT(on.totals.completed, 0u);
 }
@@ -314,8 +305,6 @@ TEST(OverloadFaults, StormScalesRatesThroughSink) {
     rt.attachOverload(inj);
     if (storm) inj.flashCrowd(msToNs(1.0), msToNs(2.0), 8.0);
     inj.arm();
-    // Overload faults are workload-side: they must NOT pin the engine serial.
-    EXPECT_FALSE(inst.sim->serialRequired());
     rt.start();
     inst.sim->run();
     if (storm) {
@@ -361,107 +350,6 @@ TEST(OverloadFaults, RogueTenantScalesOnlyItsOwner) {
   EXPECT_GT(total.offered, 0u);
   ASSERT_EQ(inj.trace().size(), 2u);
   EXPECT_EQ(inj.trace()[0].srcHost, 2);
-}
-
-TEST(OverloadFaults, PhysicalFaultsStillPinSerial) {
-  const topo::Topology topo = topo::makeLine(3);
-  const routing::ShortestPathRouting routing(topo);
-  auto inst = testbed::makeFullTestbed(topo, routing);
-  sim::FaultInjector inj(*inst.sim, inst.net());
-  inj.trafficStorm(usToNs(1.0), 2.0);
-  inj.arm();
-  EXPECT_FALSE(inst.sim->serialRequired());
-  inj.downPort(usToNs(2.0), 0, 0);
-  inj.arm();
-  EXPECT_TRUE(inst.sim->serialRequired());
-  EXPECT_TRUE(sim::faultKindNeedsSerial(sim::FaultKind::kPortDown));
-  EXPECT_FALSE(sim::faultKindNeedsSerial(sim::FaultKind::kOverloadStorm));
-  EXPECT_FALSE(sim::faultKindNeedsSerial(sim::FaultKind::kOverloadEnd));
-}
-
-// ---- The acceptance gate: serial == parallel on the overload path ---------
-
-/// Scoped SDT_SHARDS / SDT_SIM_WORKERS override (same idiom as
-/// test_determinism.cpp): geometry is read at Simulator construction.
-class ShardEnvGuard {
- public:
-  ShardEnvGuard(int shards, int workers) {
-    setenv("SDT_SHARDS", std::to_string(shards).c_str(), 1);
-    setenv("SDT_SIM_WORKERS", std::to_string(workers).c_str(), 1);
-  }
-  ~ShardEnvGuard() {
-    restore("SDT_SHARDS", savedShards_);
-    restore("SDT_SIM_WORKERS", savedWorkers_);
-  }
-  ShardEnvGuard(const ShardEnvGuard&) = delete;
-  ShardEnvGuard& operator=(const ShardEnvGuard&) = delete;
-
- private:
-  static std::optional<std::string> snapshot(const char* name) {
-    const char* v = std::getenv(name);
-    return v == nullptr ? std::nullopt : std::optional<std::string>(v);
-  }
-  static void restore(const char* name, const std::optional<std::string>& v) {
-    if (v.has_value()) {
-      setenv(name, v->c_str(), 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  std::optional<std::string> savedShards_ = snapshot("SDT_SHARDS");
-  std::optional<std::string> savedWorkers_ = snapshot("SDT_SIM_WORKERS");
-};
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-/// Everything observable about one overload run, folded to one word.
-std::uint64_t overloadFingerprint(const OverloadOutcome& out) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a(h, out.statsDigest);
-  h = fnv1a(h, out.events);
-  h = fnv1a(h, out.drops);
-  h = fnv1a(h, out.sheds);
-  h = fnv1a(h, out.samples);
-  h = fnv1a(h, static_cast<std::uint64_t>(out.peakPressure * 1e9));
-  h = fnv1a(h, out.totals.offered);
-  h = fnv1a(h, out.totals.completed);
-  h = fnv1a(h, out.totals.sloHit);
-  h = fnv1a(h, out.totals.sloMiss);
-  h = fnv1a(h, out.totals.latencySumNs);
-  return h;
-}
-
-TEST(OverloadDeterminism, IncastBitIdenticalSerialVsParallelAtSameK) {
-  // The whole admission signal path (sampler -> broker -> broadcast) plus
-  // the serving workloads' cross-shard completion chains must be exactly as
-  // deterministic as the data plane: at fixed K, 1 worker == K workers.
-  for (const int k : {2, 4}) {
-    std::uint64_t serial = 0;
-    std::uint64_t parallel = 0;
-    {
-      const ShardEnvGuard env(k, 1);
-      serial = overloadFingerprint(runIncast(true, 3.0));
-    }
-    {
-      const ShardEnvGuard env(k, k);
-      parallel = overloadFingerprint(runIncast(true, 3.0));
-    }
-    EXPECT_EQ(parallel, serial) << "K=" << k << " overload run diverged";
-  }
-}
-
-TEST(OverloadDeterminism, ShardedOverloadRunsAreRepeatable) {
-  const auto once = []() {
-    const ShardEnvGuard env(4, 4);
-    return overloadFingerprint(runIncast(true, 2.0));
-  };
-  EXPECT_EQ(once(), once());
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// Tests: discrete-event core, including the sharded parallel engine.
+// Tests: discrete-event core.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <functional>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -79,126 +77,46 @@ TEST(Simulator, ZeroDelayRunsNow) {
 }
 
 TEST(Simulator, KeyPackingBoundary) {
-  // K=1 collapses to the legacy seq<<kSlotBits|slot layout, bit for bit.
-  static_assert(Simulator::packKey(0, 1, 0) == (1ULL << Simulator::kSlotBits));
-  static_assert(Simulator::packKey(0, 5, 7) == ((5ULL << Simulator::kSlotBits) | 7));
+  static_assert(Simulator::packKey(1, 0) == (1ULL << Simulator::kSlotBits));
+  static_assert(Simulator::packKey(5, 7) == ((5ULL << Simulator::kSlotBits) | 7));
   // Round-trip at the field maxima — the seq boundary the overflow check guards.
-  constexpr std::uint64_t maxSeq = Simulator::kMaxSeqPerShard - 1;
+  constexpr std::uint64_t maxSeq = Simulator::kMaxSeq - 1;
   constexpr auto maxSlot = static_cast<std::uint32_t>(Simulator::kSlotMask);
-  constexpr int maxShard = Simulator::kMaxShards - 1;
-  constexpr std::uint64_t key = Simulator::packKey(maxShard, maxSeq, maxSlot);
-  static_assert(Simulator::keyShard(key) == maxShard);
+  constexpr std::uint64_t key = Simulator::packKey(maxSeq, maxSlot);
   static_assert(Simulator::keySeq(key) == maxSeq);
   static_assert(Simulator::keySlot(key) == maxSlot);
-  // Field dominance: seq outranks slot, shard outranks seq — so the packed
-  // word compares as (shard, seq) and slot bits never decide an ordering.
-  static_assert(Simulator::packKey(0, 1, 0) > Simulator::packKey(0, 0, maxSlot));
-  static_assert(Simulator::packKey(1, 0, 0) > Simulator::packKey(0, maxSeq, maxSlot));
+  // Field dominance: seq outranks slot, so the packed word compares as seq
+  // and slot bits never decide an ordering.
+  static_assert(Simulator::packKey(1, 0) > Simulator::packKey(0, maxSlot));
 }
 
 TEST(SimulatorDeathTest, SeqOverflowAbortsWithClearMessage) {
   Simulator sim;
-  sim.debugSetNextSeq(0, Simulator::kMaxSeqPerShard - 1);
+  sim.debugSetNextSeq(Simulator::kMaxSeq - 1);
   sim.schedule(1, []() {});  // consumes the final sequence number — still fine
-  EXPECT_DEATH(sim.schedule(1, []() {}), "exhausted its 34-bit event sequence space");
-}
-
-TEST(Simulator, ScheduleOnRunsOnTargetShard) {
-  Simulator sim(4, 1);
-  std::vector<int> shards;
-  for (int s = 3; s >= 0; --s) {
-    sim.scheduleOn(s, 10, [&, s]() {
-      EXPECT_EQ(sim.currentShard(), s);
-      shards.push_back(s);
-    });
-  }
-  sim.run();
-  // Same-time events run in global (shard, seq) order, not submission order.
-  EXPECT_EQ(shards, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(sim.eventsProcessed(), 4u);
-}
-
-TEST(Simulator, CrossShardSameTimestampGlobalOrder) {
-  Simulator sim(3, 1);
-  std::vector<int> order;
-  sim.scheduleOn(2, 5, [&]() { order.push_back(20); });
-  sim.scheduleOn(0, 5, [&]() { order.push_back(0); });
-  sim.scheduleOn(2, 5, [&]() { order.push_back(21); });
-  sim.scheduleOn(1, 5, [&]() { order.push_back(10); });
-  sim.run();
-  // Shard is the primary same-time tie-break, per-shard FIFO the secondary.
-  EXPECT_EQ(order, (std::vector<int>{0, 10, 20, 21}));
-}
-
-TEST(Simulator, ZeroLookaheadFallsBackToLockstep) {
-  // A zero-latency cross-shard link collapses the safe horizon to nothing;
-  // the engine must degrade to the serial merge loop, not deadlock.
-  Simulator sim(4, 4);
-  sim.setLookahead(0);
-  int hops = 0;
-  std::function<void(int)> hop = [&](int shard) {
-    ++hops;
-    if (hops >= 64) return;
-    const int next = (shard + 1) % 4;
-    sim.scheduleOn(next, sim.crossDelay(next, 0), [&, next]() { hop(next); });
-  };
-  sim.scheduleOn(0, 0, [&]() { hop(0); });
-  sim.run();
-  EXPECT_EQ(hops, 64);
-  EXPECT_EQ(sim.now(), 0);
-  EXPECT_EQ(sim.barrierWindows(), 0u);  // no parallel windows ran
+  EXPECT_DEATH(sim.schedule(1, []() {}), "exhausted its 40-bit event sequence space");
 }
 
 TEST(Simulator, EventExactlyOnBarrierBoundaryRunsNextWindow) {
-  // An event landing exactly at the horizon (gmin + lookahead) belongs to
-  // the *next* window (the in-window test is strictly `when < horizon`) and
-  // must never be lost or run early.
-  Simulator sim(2, 2);
-  const Time la = sim.lookahead();
-  std::vector<Time> fired;  // only shard 1 appends — no cross-thread access
-  sim.scheduleOn(0, 0, [&]() {
-    sim.scheduleOn(1, sim.crossDelay(1, la), [&]() { fired.push_back(sim.now()); });
+  // runUntil() slices a run into windows [.., deadline]. An event landing
+  // exactly one past a window's deadline belongs to the *next* window and
+  // must never be lost or run early; one exactly on the deadline runs now.
+  Simulator sim;
+  constexpr Time kWindow = 500;
+  std::vector<Time> fired;
+  sim.schedule(0, [&]() {
+    sim.schedule(kWindow, [&]() { fired.push_back(sim.now()); });
   });
-  sim.scheduleOn(1, 0, [&]() { fired.push_back(sim.now()); });
-  sim.run();
+  sim.schedule(kWindow - 1, [&]() { fired.push_back(sim.now()); });
+  sim.runUntil(kWindow - 1);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], kWindow - 1);
+  EXPECT_EQ(sim.now(), kWindow - 1);
+  EXPECT_FALSE(sim.empty());
+  sim.runUntil(kWindow);
   ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], 0);
-  EXPECT_EQ(fired[1], la);
-  EXPECT_EQ(sim.barrierWindows(), 2u);
-  EXPECT_EQ(sim.crossShardEvents(), 1u);
-}
-
-TEST(Simulator, ParallelMatchesSerialPerShardTraces) {
-  // A deterministic branching cascade across 4 shards, run on the serial
-  // merge loop and again with 4 workers: each shard's ordered execution
-  // trace must be identical (the global interleaving across shards is
-  // unordered by design; per-shard order and all state are the contract).
-  constexpr int kShards = 4;
-  using Trace = std::vector<std::pair<Time, std::uint64_t>>;
-  const auto runTrace = [](int workers) {
-    Simulator sim(kShards, workers);
-    std::array<Trace, kShards> perShard;  // each touched only by its shard
-    std::function<void(std::uint64_t, int)> node = [&](std::uint64_t id, int depth) {
-      perShard[static_cast<std::size_t>(sim.currentShard())].emplace_back(sim.now(), id);
-      if (depth >= 6) return;
-      for (std::uint64_t c = 0; c < 2; ++c) {
-        const std::uint64_t childId = id * 2 + c + 1;
-        const int dest = static_cast<int>(childId % kShards);
-        const Time delay = sim.crossDelay(dest, static_cast<Time>(childId % 3) * 100);
-        sim.scheduleOn(dest, delay, [&, childId, depth]() { node(childId, depth + 1); });
-      }
-    };
-    sim.scheduleOn(0, 0, [&]() { node(0, 0); });
-    sim.run();
-    EXPECT_EQ(sim.eventsProcessed(), (1u << 7) - 1);  // full binary tree, depth 6
-    return perShard;
-  };
-  const auto serial = runTrace(1);
-  const auto parallel = runTrace(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    EXPECT_EQ(parallel[s], serial[s]) << "shard " << s << " diverged";
-    EXPECT_FALSE(serial[s].empty());
-  }
+  EXPECT_EQ(fired[1], kWindow);
+  EXPECT_TRUE(sim.empty());
 }
 
 }  // namespace

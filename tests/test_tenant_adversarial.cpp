@@ -5,9 +5,7 @@
 // (receiver, source, destination, payload bytes, and the exact simulated
 // time of every sniffed packet and delivery) must be BYTE-IDENTICAL to a
 // run where the hostile tenant sits idle, and so must the victim's flow
-// entries and host-port epoch stamps. Runs under any SDT_SHARDS (CI
-// exercises 1 and 4): baseline and attack runs share the engine
-// configuration, so the comparison is exact either way.
+// entries and host-port epoch stamps.
 #include <gtest/gtest.h>
 
 #include <cstddef>
