@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "partition/partitioner.hpp"
 #include "topo/generators.hpp"
@@ -92,14 +94,15 @@ TEST(Partition, ExactRefusesOversizedGraphs) {
 
 // Property sweep: on every paper topology, the partitioner must produce a
 // valid, reasonably balanced split for 2 and 3 parts (the plant sizes the
-// paper uses).
+// paper uses). The name is a std::string, not a const char*, so the printed
+// parameter (and hence the test name) carries no load address.
 class PartitionSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(PartitionSweep, BalancedAndComplete) {
   const auto [name, parts] = GetParam();
   topo::Topology t;
-  const std::string which = name;
+  const std::string& which = name;
   if (which == "fattree") t = topo::makeFatTree(4);
   if (which == "dragonfly") t = topo::makeDragonfly(4, 9, 2);
   if (which == "torus") t = topo::makeTorus3D(4, 4, 4);
@@ -126,7 +129,8 @@ TEST_P(PartitionSweep, BalancedAndComplete) {
 
 INSTANTIATE_TEST_SUITE_P(
     Topologies, PartitionSweep,
-    ::testing::Combine(::testing::Values("fattree", "dragonfly", "torus", "mesh"),
+    ::testing::Combine(::testing::Values(std::string("fattree"), std::string("dragonfly"),
+                                          std::string("torus"), std::string("mesh")),
                        ::testing::Values(2, 3)));
 
 TEST(Partition, DeterministicForSeed) {
