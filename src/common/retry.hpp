@@ -52,6 +52,21 @@ struct RetryCounters {
   std::uint64_t backoffNs = 0;  ///< modeled backoff time accumulated
 };
 
+/// The one backoff formula (retryWithBackoff and controller::SwitchRounds):
+/// the wait after failed attempt `attempt` (1-based) is baseBackoff *
+/// backoffMultiplier^(attempt-1), times a jitter factor drawn from `rng`
+/// (no draw when jitter is 0), clamped to maxBackoff. All of it stays in
+/// double until the cast: the exponential overflows 2^63 within ~64 attempts,
+/// and casting such a double to TimeNs is undefined behavior.
+inline TimeNs backoffWait(const RetryPolicy& policy, int attempt, Rng& rng) {
+  double wait = static_cast<double>(policy.baseBackoff);
+  for (int i = 1; i < attempt; ++i) wait *= policy.backoffMultiplier;
+  if (policy.jitter > 0.0) wait *= 1.0 - policy.jitter * rng.uniform();
+  const double maxBackoff = static_cast<double>(policy.maxBackoff);
+  if (!(wait < maxBackoff)) wait = maxBackoff;
+  return static_cast<TimeNs>(wait);
+}
+
 /// Run `attempt(i)` (i = 1-based attempt number, returns true on success) up
 /// to policy.maxAttempts times. `streamId` decorrelates jitter across
 /// concurrent logical streams (e.g. one per switch being repaired).
@@ -71,12 +86,6 @@ RetryResult retryWithBackoff(const RetryPolicy& policy, std::uint64_t streamId,
   }
   std::uint64_t mix = policy.seed ^ streamId;
   Rng rng(detail::splitmix64(mix));
-  // All backoff arithmetic is clamped at maxBackoff *as a double*, before
-  // any cast: an uncapped `backoff *= multiplier` exceeds 2^63 within ~64
-  // attempts and casting such a double to TimeNs is undefined behavior.
-  const double maxBackoff = static_cast<double>(policy.maxBackoff);
-  double backoff = static_cast<double>(policy.baseBackoff);
-  if (backoff > maxBackoff) backoff = maxBackoff;
   for (int i = 1; i <= policy.maxAttempts; ++i) {
     ++result.attempts;
     if (counters) ++counters->attempts;
@@ -87,16 +96,9 @@ RetryResult retryWithBackoff(const RetryPolicy& policy, std::uint64_t streamId,
     result.elapsed += policy.attemptTimeout;  // waited the full ack window
     if (i == policy.maxAttempts) break;
     if (counters) ++counters->retries;
-    double wait = backoff;
-    if (policy.jitter > 0.0) {
-      wait *= 1.0 - policy.jitter * rng.uniform();
-    }
-    if (wait > maxBackoff) wait = maxBackoff;
-    const auto capped = static_cast<TimeNs>(wait);
-    result.elapsed += capped;
-    if (counters) counters->backoffNs += static_cast<std::uint64_t>(capped);
-    backoff *= policy.backoffMultiplier;
-    if (backoff > maxBackoff) backoff = maxBackoff;
+    const TimeNs wait = backoffWait(policy, i, rng);
+    result.elapsed += wait;
+    if (counters) counters->backoffNs += static_cast<std::uint64_t>(wait);
   }
   if (counters && !result.succeeded) ++counters->exhausted;
   return result;

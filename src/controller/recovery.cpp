@@ -7,22 +7,6 @@
 #include "controller/table_diff.hpp"
 
 namespace sdt::controller {
-namespace {
-
-/// Transfer id for one converge bundle. High tag 0x4EC0 ("reco") keeps
-/// recovery's xid space disjoint from the transaction layer's 0xF10D, so a
-/// late duplicate from the crashed transaction can never mask a recovery
-/// bundle (or vice versa). The anti-entropy round index makes each
-/// iteration's bundle a fresh xid — only *retries within* a round dedup —
-/// and the tenant salt keeps two tenants' concurrent recoveries over the
-/// same shared switch from colliding in its xid cache.
-std::uint64_t recoveryXid(std::uint16_t tenant, int round, int sw) {
-  return (0x4EC0ULL << 48) | (static_cast<std::uint64_t>(tenant) << 32) |
-         (static_cast<std::uint64_t>(round) << 16) |
-         static_cast<std::uint64_t>(sw);
-}
-
-}  // namespace
 
 const char* recoveryDecisionName(RecoveryDecision decision) {
   switch (decision) {
@@ -165,16 +149,19 @@ RecoveryRun::RecoveryRun(sim::Simulator& sim, sim::ControlChannel& channel,
       switches_(std::move(switches)),
       plan_(std::move(plan)),
       options_(std::move(options)),
-      done_(std::move(done)) {
+      done_(std::move(done)),
+      rounds_(sim, static_cast<int>(switches_.size()),
+              {.op = "recover", .salt = 0x4EC0BEA7ULL, .retry = options_.retry,
+               .tracer = options_.tracer, .metrics = options_.metrics},
+              [this](int sw) { sendRequest(sw); },
+              [this](int sw, int attempts) {
+                finishFailure(strFormat(
+                    "switch %d unreachable during recovery %s round after %d attempts",
+                    sw, rounds_.phase(), attempts));
+              }) {
   const auto n = static_cast<std::size_t>(numSwitches());
   pending_.resize(n);
   lastSnap_.resize(n);
-  roundComplete_.assign(n, 0);
-  backoffRng_.reserve(n);
-  for (std::size_t sw = 0; sw < n; ++sw) {
-    std::uint64_t mix = options_.retry.seed ^ (0x4EC0BEA7ULL + sw);
-    backoffRng_.emplace_back(sdt::detail::splitmix64(mix));
-  }
   report_.decision = plan_.decision;
   report_.topology = plan_.topology;
   report_.routing = plan_.routing;
@@ -193,83 +180,29 @@ const std::vector<int>* RecoveryRun::flipPortsFor(int sw) const {
   return ports.empty() ? nullptr : &ports;
 }
 
-void RecoveryRun::tracePhase(const char* name) {
-  if (options_.tracer == nullptr) return;
-  const TimeNs now = sim_->now();
-  if (spanPhase_ != obs::kNoSpan) options_.tracer->end(spanPhase_, now);
-  spanPhase_ = options_.tracer->begin(std::string("recover.") + name, now, spanRun_);
-}
-
-void RecoveryRun::traceFinish(const char* outcome) {
-  if (options_.tracer == nullptr) return;
-  const TimeNs now = sim_->now();
-  if (spanPhase_ != obs::kNoSpan) {
-    options_.tracer->end(spanPhase_, now);
-    spanPhase_ = obs::kNoSpan;
-  }
-  if (spanRun_ == obs::kNoSpan) return;
-  options_.tracer->annotate(spanRun_, "outcome", outcome);
-  options_.tracer->annotate(spanRun_, "stats_rounds",
-                            std::to_string(report_.statsRounds));
-  options_.tracer->annotate(spanRun_, "flow_mods", std::to_string(report_.flowMods));
-  options_.tracer->annotate(spanRun_, "retries",
-                            std::to_string(report_.retriesTotal));
-  if (!report_.failure.empty()) {
-    options_.tracer->annotate(spanRun_, "failure", report_.failure);
-  }
-  options_.tracer->end(spanRun_, now);
-  spanRun_ = obs::kNoSpan;
-}
-
 void RecoveryRun::start() {
   report_.startedAt = sim_->now();
-  if (options_.tracer != nullptr) {
-    spanRun_ = options_.tracer->begin("recover", report_.startedAt);
-    options_.tracer->annotate(spanRun_, "decision",
-                              recoveryDecisionName(plan_.decision));
-    options_.tracer->annotate(spanRun_, "topology", plan_.topology);
-    options_.tracer->annotate(spanRun_, "target_epoch",
-                              std::to_string(plan_.targetEpoch));
-    options_.tracer->annotate(spanRun_, "rules", std::to_string(plan_.totalEntries));
-  }
+  rounds_.traceStart({{"decision", recoveryDecisionName(plan_.decision)},
+                      {"topology", plan_.topology},
+                      {"target_epoch", std::to_string(plan_.targetEpoch)},
+                      {"rules", std::to_string(plan_.totalEntries)}});
   if (options_.monitor != nullptr) {
     for (int sw = 0; sw < numSwitches(); ++sw) options_.monitor->guardSwitch(sw);
   }
-  currentRound_ = Round::kReadback;
-  tracePhase("readback");
-  for (int sw = 0; sw < numSwitches(); ++sw) startRound(sw, Round::kReadback, 1);
+  openRound(Round::kReadback, "readback");
+  for (int sw = 0; sw < numSwitches(); ++sw) rounds_.send(sw);
 }
 
-TimeNs RecoveryRun::backoffDelay(int sw, int attempt) {
-  // Same capped exponential as ReconfigTransaction::backoffDelay; the cap
-  // must be applied in double, before the cast (see the comment there).
-  double wait = static_cast<double>(options_.retry.baseBackoff);
-  for (int i = 1; i < attempt; ++i) wait *= options_.retry.backoffMultiplier;
-  if (options_.retry.jitter > 0.0) {
-    wait *= 1.0 - options_.retry.jitter *
-                      backoffRng_[static_cast<std::size_t>(sw)].uniform();
-  }
-  const double maxBackoff = static_cast<double>(options_.retry.maxBackoff);
-  if (!(wait < maxBackoff)) wait = maxBackoff;
-  return static_cast<TimeNs>(wait);
+void RecoveryRun::openRound(Round round, const char* span) {
+  currentRound_ = round;
+  rounds_.begin(round == Round::kReadback ? "readback" : "converge",
+                options_.convergeAttempts);
+  rounds_.tracePhase(span);
 }
 
-void RecoveryRun::startRound(int sw, Round round, int attempt) {
-  if (finished_ || roundComplete_[static_cast<std::size_t>(sw)] != 0) return;
-  if (attempt > 1) {
-    ++report_.retriesTotal;
-    ++report_.switches[static_cast<std::size_t>(sw)].retries;
-    if (options_.metrics != nullptr) {
-      options_.metrics
-          ->counter("sdt_controller_retry_attempts_total",
-                    {{"op", "recover"},
-                     {"phase", round == Round::kReadback ? "readback" : "converge"}},
-                    "Control-channel resends beyond the first attempt")
-          .inc();
-    }
-  }
-  const std::uint64_t gen = gen_;
-  if (round == Round::kReadback) {
+void RecoveryRun::sendRequest(int sw) {
+  const std::uint64_t gen = rounds_.generation();
+  if (currentRound_ == Round::kReadback) {
     // Flow-stats request: the switch snapshots its table at *delivery* time
     // (not send time) and ships the copy back; both legs are lossy. The
     // request carries the leader's generation (term) like an OpenFlow
@@ -283,100 +216,64 @@ void RecoveryRun::startRound(int sw, Round round, int attempt) {
       const openflow::TableSnapshot snap =
           switches_[static_cast<std::size_t>(sw)]->snapshot();
       channel_->send(sw, [this, sw, gen, snap]() {
-        if (finished_ || gen != gen_) return;
-        onSnapshot(sw, snap);
+        if (finished_ || gen != rounds_.generation() || rounds_.completed(sw)) return;
+        report_.switches[static_cast<std::size_t>(sw)].snapshotAcked = true;
+        lastSnap_[static_cast<std::size_t>(sw)] = snap;
+        completeSwitch(sw);
       });
     });
-  } else {
-    // Converge bundle: captured by value so a duplicate delivered after the
-    // round advanced still re-acks the *same* bundle it acked before. The
-    // xid (bound to this anti-entropy round) makes re-application a no-op.
-    const ConvergeOps ops = pending_[static_cast<std::size_t>(sw)];
-    const std::uint64_t xid = recoveryXid(tenant_, roundIndex_, sw);
-    channel_->send(sw, [this, sw, gen, xid, ops]() {
-      openflow::Switch& ofs = *switches_[static_cast<std::size_t>(sw)];
-      // Fenced: no apply, no ack.
-      if (!ofs.admitTerm(options_.term, options_.leaderId)) return;
-      if (ofs.acceptXid(xid)) {
-        // Applied atomically (one OpenFlow bundle-commit): removes first so
-        // the table never holds both an entry and its replacement.
-        for (const openflow::FlowEntry& e : ops.removes) ofs.table().removeExact(e);
-        for (const openflow::FlowEntry& e : ops.adds) {
-          openflow::FlowEntry fresh = e;
-          fresh.packetCount = 0;
-          fresh.byteCount = 0;
-          // A full table here means the fabric still carries two epochs'
-          // rules beyond what the removes cover; the verify round will see
-          // the shortfall and the next iteration finishes the job.
-          (void)ofs.table().add(std::move(fresh));
-        }
-        if (ops.restamp) {
-          // The tenant-scoped sweep leaves co-tenant cookies alone; the
-          // whole-table sweep is the legacy single-tenant behaviour.
-          if (tenant_ != 0) ofs.table().restampTenantEpoch(plan_.targetEpoch);
-          else ofs.table().restampEpoch(plan_.targetEpoch);
-        }
-        if (ops.flipEpoch) {
-          if (const std::vector<int>* ports = flipPortsFor(sw)) {
-            for (const int p : *ports) ofs.setPortIngressEpoch(p, plan_.targetEpoch);
-          } else if (tenant_ == 0) {
-            // A tenant-scoped recovery with no listed ports owns no ingress
-            // stamping on this switch; a whole-switch flip would hijack
-            // co-tenant traffic.
-            ofs.setIngressEpoch(plan_.targetEpoch);
-          }
-        }
-        report_.flowMods += ops.mods();
+    return;
+  }
+  // Converge bundle: captured by value so a duplicate delivered after the
+  // round advanced still re-acks the *same* bundle it acked before. The
+  // xid (bound to this anti-entropy round) makes re-application a no-op.
+  const ConvergeOps ops = pending_[static_cast<std::size_t>(sw)];
+  const std::uint64_t xid = recoveryXid(tenant_, roundIndex_);
+  channel_->send(sw, [this, sw, gen, xid, ops]() {
+    openflow::Switch& ofs = *switches_[static_cast<std::size_t>(sw)];
+    // Fenced: no apply, no ack.
+    if (!ofs.admitTerm(options_.term, options_.leaderId)) return;
+    if (ofs.acceptXid(xid)) {
+      // Applied atomically (one OpenFlow bundle-commit): removes first so
+      // the table never holds both an entry and its replacement.
+      for (const openflow::FlowEntry& e : ops.removes) ofs.table().removeExact(e);
+      for (const openflow::FlowEntry& e : ops.adds) {
+        openflow::FlowEntry fresh = e;
+        fresh.packetCount = 0;
+        fresh.byteCount = 0;
+        // A full table here means the fabric still carries two epochs'
+        // rules beyond what the removes cover; the verify round will see
+        // the shortfall and the next iteration finishes the job.
+        (void)ofs.table().add(std::move(fresh));
       }
-      channel_->send(sw, [this, sw, gen]() {
-        if (finished_ || gen != gen_) return;
-        onConvergeAck(sw);
-      });
-    });
-  }
-  sim_->schedule(options_.retry.attemptTimeout, [this, sw, round, attempt, gen]() {
-    onRoundTimeout(sw, round, attempt, gen);
-  });
-}
-
-void RecoveryRun::onRoundTimeout(int sw, Round round, int attempt,
-                                 std::uint64_t gen) {
-  if (finished_ || gen != gen_ || roundComplete_[static_cast<std::size_t>(sw)] != 0) {
-    return;
-  }
-  if (attempt >= options_.convergeAttempts) {
-    finishFailure(strFormat(
-        "switch %d unreachable during recovery %s round after %d attempts", sw,
-        round == Round::kReadback ? "readback" : "converge", attempt));
-    return;
-  }
-  const TimeNs backoff = backoffDelay(sw, attempt);
-  sim_->schedule(backoff, [this, sw, round, attempt, gen]() {
-    if (finished_ || gen != gen_ ||
-        roundComplete_[static_cast<std::size_t>(sw)] != 0) {
-      return;
+      if (ops.restamp) {
+        // The tenant-scoped sweep leaves co-tenant cookies alone; the
+        // whole-table sweep is the legacy single-tenant behaviour.
+        if (tenant_ != 0) ofs.table().restampTenantEpoch(plan_.targetEpoch);
+        else ofs.table().restampEpoch(plan_.targetEpoch);
+      }
+      if (ops.flipEpoch) {
+        if (const std::vector<int>* ports = flipPortsFor(sw)) {
+          for (const int p : *ports) ofs.setPortIngressEpoch(p, plan_.targetEpoch);
+        } else if (tenant_ == 0) {
+          // A tenant-scoped recovery with no listed ports owns no ingress
+          // stamping on this switch; a whole-switch flip would hijack
+          // co-tenant traffic.
+          ofs.setIngressEpoch(plan_.targetEpoch);
+        }
+      }
+      report_.flowMods += ops.mods();
     }
-    startRound(sw, round, attempt + 1);
+    channel_->send(sw, [this, sw, gen]() {
+      if (finished_ || gen != rounds_.generation() || rounds_.completed(sw)) return;
+      report_.switches[static_cast<std::size_t>(sw)].convergeAcked = true;
+      completeSwitch(sw);
+    });
   });
-}
-
-void RecoveryRun::onSnapshot(int sw, const openflow::TableSnapshot& snap) {
-  if (roundComplete_[static_cast<std::size_t>(sw)] != 0) return;
-  report_.switches[static_cast<std::size_t>(sw)].snapshotAcked = true;
-  lastSnap_[static_cast<std::size_t>(sw)] = snap;
-  completeSwitch(sw);
-}
-
-void RecoveryRun::onConvergeAck(int sw) {
-  if (roundComplete_[static_cast<std::size_t>(sw)] != 0) return;
-  report_.switches[static_cast<std::size_t>(sw)].convergeAcked = true;
-  completeSwitch(sw);
 }
 
 void RecoveryRun::completeSwitch(int sw) {
-  roundComplete_[static_cast<std::size_t>(sw)] = 1;
-  ++roundAcks_;
-  if (roundAcks_ < numSwitches()) return;
+  if (rounds_.complete(sw) < numSwitches()) return;
 
   if (currentRound_ == Round::kReadback) {
     ++report_.statsRounds;
@@ -475,38 +372,26 @@ void RecoveryRun::recordFirstReadback(int sw, const ConvergeOps& ops,
 }
 
 void RecoveryRun::beginConverge() {
-  ++gen_;
   ++roundIndex_;
-  currentRound_ = Round::kConverge;
-  tracePhase("converge");
-  std::fill(roundComplete_.begin(), roundComplete_.end(), 0);
-  roundAcks_ = 0;
+  openRound(Round::kConverge, "converge");
   // Clean switches sit the round out (no message at all); completeSwitch is
   // not called for them to keep the all-acked barrier arithmetic simple.
-  int sent = 0;
+  // beginConverge only runs when some switch drifted, so the barrier cannot
+  // already be full here; the acks arrive as simulator events.
   for (int sw = 0; sw < numSwitches(); ++sw) {
     if (pending_[static_cast<std::size_t>(sw)].empty()) {
-      roundComplete_[static_cast<std::size_t>(sw)] = 1;
-      ++roundAcks_;
+      rounds_.complete(sw);
       continue;
     }
     ++report_.switches[static_cast<std::size_t>(sw)].convergeRounds;
-    startRound(sw, Round::kConverge, 1);
-    ++sent;
+    rounds_.send(sw);
   }
-  // beginConverge only runs when some switch drifted, so the barrier cannot
-  // already be full here; the acks arrive as simulator events.
-  (void)sent;
 }
 
 void RecoveryRun::beginVerify() {
-  ++gen_;
   ++roundIndex_;
-  currentRound_ = Round::kReadback;
-  tracePhase("verify");
-  std::fill(roundComplete_.begin(), roundComplete_.end(), 0);
-  roundAcks_ = 0;
-  for (int sw = 0; sw < numSwitches(); ++sw) startRound(sw, Round::kReadback, 1);
+  openRound(Round::kReadback, "verify");
+  for (int sw = 0; sw < numSwitches(); ++sw) rounds_.send(sw);
 }
 
 void RecoveryRun::finishSuccess() {
@@ -572,31 +457,32 @@ void RecoveryRun::finishFailure(const std::string& why) {
 
 void RecoveryRun::cancel() {
   if (finished_) return;
-  finished_ = true;
   cancelled_ = true;
-  ++gen_;  // cancels every outstanding timer and in-flight handler
   report_.converged = false;
   report_.failure = "cancelled";
-  report_.finishedAt = sim_->now();
-  traceFinish("cancelled");
-  if (options_.monitor != nullptr) {
-    for (int sw = 0; sw < numSwitches(); ++sw) options_.monitor->unguardSwitch(sw);
-  }
-  // done_ deliberately NOT invoked: the process that would have received the
-  // completion is dead.
+  finish();
 }
 
 void RecoveryRun::finish() {
   finished_ = true;
-  ++gen_;  // cancels every outstanding timer and in-flight handler
+  rounds_.stop();  // cancels every outstanding timer and in-flight handler
   report_.finishedAt = sim_->now();
-  traceFinish(report_.converged ? "converged" : "failed");
+  for (int sw = 0; sw < numSwitches(); ++sw) {
+    report_.switches[static_cast<std::size_t>(sw)].retries = rounds_.retries(sw);
+  }
+  report_.retriesTotal = rounds_.retriesTotal();
+  rounds_.traceFinish(cancelled_ ? "cancelled" : report_.converged ? "converged" : "failed",
+                      report_.failure,
+                      {{"stats_rounds", std::to_string(report_.statsRounds)},
+                       {"flow_mods", std::to_string(report_.flowMods)}});
   if (options_.monitor != nullptr) {
     // Unguard reseeds the tx-counter baselines, so the converge burst's
     // stalled counters cannot read as a wedged transceiver afterwards.
     for (int sw = 0; sw < numSwitches(); ++sw) options_.monitor->unguardSwitch(sw);
   }
-  if (done_) done_(report_);
+  // A cancelled run never reports: the process that would have received the
+  // completion is dead.
+  if (done_ && !cancelled_) done_(report_);
 }
 
 Status<Error> journalDeploy(Journal& journal, const Deployment& deployment,

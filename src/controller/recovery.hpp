@@ -44,9 +44,9 @@
 #include "common/json.hpp"
 #include "common/result.hpp"
 #include "common/retry.hpp"
-#include "common/rng.hpp"
 #include "controller/controller.hpp"
 #include "controller/journal.hpp"
+#include "controller/switch_rounds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/control_channel.hpp"
@@ -110,7 +110,9 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
                                   const DeployOptions& options = {});
 
 struct RecoveryOptions {
-  /// Retry budget and backoff shape per readback / converge attempt.
+  /// Backoff shape and ack wait (attemptTimeout) of every readback,
+  /// converge and verify attempt. maxAttempts is not used: convergeAttempts
+  /// caps each round.
   retry::RetryPolicy retry;
   /// Per-switch attempt backstop for a single round (like
   /// ReconfigOptions::commitAttempts): recovery never gives up early, but a
@@ -255,11 +257,11 @@ class RecoveryRun {
   /// Ports whose ingress stamp this recovery owns on `sw`, or nullptr for
   /// the whole switch (plan_.flipPorts empty or its inner list empty).
   [[nodiscard]] const std::vector<int>* flipPortsFor(int sw) const;
-  void startRound(int sw, Round round, int attempt);
-  void onSnapshot(int sw, const openflow::TableSnapshot& snap);
-  void onConvergeAck(int sw);
-  void onRoundTimeout(int sw, Round round, int attempt, std::uint64_t gen);
-  [[nodiscard]] TimeNs backoffDelay(int sw, int attempt);
+  /// Open `round` (SwitchRounds::begin) under the phase span `span`.
+  void openRound(Round round, const char* span);
+  /// SwitchRounds send callback: ship the open round's request to `sw`.
+  void sendRequest(int sw);
+  /// Record `sw` done for the open round; the last switch ends the round.
   void completeSwitch(int sw);
   void beginConverge();
   void beginVerify();
@@ -267,12 +269,9 @@ class RecoveryRun {
                            const openflow::TableSnapshot& snap);
   void finishSuccess();
   void finishFailure(const std::string& why);
+  /// Stop the rounds, close the report and trace, unguard; cancel() ends
+  /// here too, minus the done callback.
   void finish();
-  /// Close the current phase span and open `name` under the root (no-op
-  /// without a tracer).
-  void tracePhase(const char* name);
-  /// Close both spans and stamp the root with the outcome.
-  void traceFinish(const char* outcome);
 
   sim::Simulator* sim_;
   sim::ControlChannel* channel_;
@@ -285,20 +284,15 @@ class RecoveryRun {
   int roundIndex_ = 0;       ///< anti-entropy iteration counter (xid salt)
   bool finished_ = false;
   bool cancelled_ = false;
-  std::uint64_t gen_ = 0;    ///< bumped on round change; stale timers no-op
   RecoveryReport report_;
   Deployment deployment_;
   std::vector<ConvergeOps> pending_;      ///< per switch, refreshed per readback
   std::vector<openflow::TableSnapshot> lastSnap_;
-  std::vector<char> roundComplete_;
-  std::vector<Rng> backoffRng_;
-  int roundAcks_ = 0;
   bool firstReadback_ = true;  ///< drift accounting happens once
   /// epochTenant(plan_.targetEpoch): non-zero scopes every diff, restamp,
   /// purity check, and deployment total to this tenant's own rules.
   std::uint16_t tenant_ = 0;
-  obs::SpanId spanRun_ = obs::kNoSpan;    ///< root span (tracer only)
-  obs::SpanId spanPhase_ = obs::kNoSpan;  ///< currently open phase child
+  SwitchRounds rounds_;
 };
 
 /// Append the kDeploy intent record for a fresh deployment. deploy() itself

@@ -35,10 +35,11 @@
 //             gcIncomplete set for the garbage-bearing switch.
 //
 // Message semantics: requests and acks both traverse the ControlChannel, so
-// either can be dropped, duplicated, reordered, or delayed. Switch-side
-// application is idempotent (per-(switch, phase) applied flags, modeling
-// OpenFlow xid dedup), so duplicates and retries of already-applied requests
-// are harmless.
+// either can be dropped, duplicated, reordered, or delayed. Each round runs
+// on a SwitchRounds (controller/switch_rounds.hpp: attempt caps, backoff,
+// xid layout). Switch-side application is idempotent (OpenFlow xid dedup,
+// openflow::Switch::acceptXid), so duplicates and retries of already-applied
+// requests are harmless.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +49,8 @@
 
 #include "common/json.hpp"
 #include "common/retry.hpp"
-#include "common/rng.hpp"
 #include "controller/controller.hpp"
+#include "controller/switch_rounds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/control_channel.hpp"
@@ -91,16 +92,19 @@ enum class CrashPoint : std::uint8_t {
 const char* crashPointName(CrashPoint point);
 
 struct ReconfigOptions {
-  /// Retry budget and backoff shape for the bounded phases (install,
-  /// barrier, gc). attemptTimeout doubles as the controller's ack wait.
+  /// Backoff shape for every round, and the attempt budget (maxAttempts)
+  /// of the bounded install and barrier rounds; flip, gc and rollback are
+  /// capped by commitAttempts instead. attemptTimeout doubles as the
+  /// controller's ack wait.
   retry::RetryPolicy retry;
   /// Grace period between the last flip ack and garbage collection, for
   /// in-flight old-epoch packets to drain out of the fabric.
   TimeNs drainDelay = msToNs(1.0);
-  /// Per-switch attempt cap for flip and rollback rounds. These phases must
-  /// not give up (flip: past the commit point; rollback: purity depends on
-  /// it), so the cap is only a termination backstop for simulations whose
-  /// channel never delivers; reaching it is reported as unverified state.
+  /// Per-switch attempt cap for flip, gc and rollback rounds. These phases
+  /// must not give up (flip and gc: past the commit point; rollback: purity
+  /// depends on it), so the cap is only a termination backstop for
+  /// simulations whose channel never delivers; reaching it is reported as
+  /// unverified state.
   int commitAttempts = 1000;
   /// When set, the monitor suppresses failure detection for every switch
   /// for the duration of the transaction (reconfiguration makes counters
@@ -221,30 +225,29 @@ class ReconfigTransaction {
   /// Switches this transaction touches (resolved from plan_.scope). Every
   /// phase barrier counts acks against this set only.
   [[nodiscard]] int scopeSize() const { return static_cast<int>(scope_.size()); }
-  void startRound(int sw, Round round, int attempt);
+  /// Open `round` on every scoped switch (SwitchRounds::begin + sends).
+  void openRound(Round round);
+  /// SwitchRounds send callback: ship the open round's request to `sw`.
+  void sendRequest(int sw);
+  /// SwitchRounds exhaustion callback (see the cap table there).
+  void onExhausted(int sw, int attempts);
   /// Returns false when the switch's term fence rejected the bundle (the
   /// delivered request is dropped on the floor: no apply, no ack).
   bool applyAtSwitch(int sw, Round round);
   void onAck(int sw, Round round);
-  void onRoundTimeout(int sw, Round round, int attempt, std::uint64_t gen);
-  [[nodiscard]] TimeNs backoffDelay(int sw, int attempt);
   void advancePhase();
   void abort(ReconfigPhase at, const std::string& why);
-  void beginGc();
   void finish();
+  /// Stamp finishedAt, copy the retry counts into report_, and close the
+  /// trace with `outcome` (finish and crash).
+  void closeReport(const char* outcome);
   /// Append a phase marker to options_.journal (no-op without one).
   void journalMark(JournalRecordKind kind);
   /// Fire the injected crash if `point` is the configured one. Returns true
   /// when the controller just died (caller must stop immediately).
   bool maybeCrash(CrashPoint point);
   [[nodiscard]] bool* ackedFlag(int sw, Round round);
-  [[nodiscard]] bool* appliedFlag(int sw, Round round);
   [[nodiscard]] static const char* roundName(Round round);
-  /// Close the current phase span and open `name` under the root (no-op
-  /// without a tracer).
-  void tracePhase(const char* name);
-  /// Close both spans and stamp the root with the outcome.
-  void traceFinish(const char* outcome);
 
   sim::Simulator* sim_;
   sim::ControlChannel* channel_;
@@ -259,11 +262,11 @@ class ReconfigTransaction {
   bool finished_ = false;
   bool crashed_ = false;  ///< injected crash fence (see crashed())
   bool stuck_ = false;  ///< some forward-only round exhausted its backstop
-  std::uint64_t gen_ = 0;  ///< bumped on phase change; stale timeouts no-op
   TimeNs abortAt_ = 0;
   ReconfigReport report_;
-  std::vector<SwitchTxState> acked_;    ///< controller-side ack bookkeeping
-  std::vector<SwitchTxState> applied_;  ///< switch-side idempotency flags
+  /// Switch-side: the abort's bulk-delete ran here, so a late install
+  /// request must not resurrect the new epoch's rules.
+  std::vector<char> rolledBack_;
   /// Resolved scope: plan_.scope when non-empty (a tenant slice's share of
   /// the plant), otherwise every deployment switch. Out-of-scope switches
   /// are never sent a message, guarded, or audited.
@@ -272,11 +275,7 @@ class ReconfigTransaction {
   /// for scoped plans (legacy unscoped plans flip the whole switch); an
   /// empty inner vector there means a mid-path switch with nothing to flip.
   std::vector<std::vector<int>> flipPortsBySwitch_;
-  std::vector<char> roundComplete_;     ///< per-switch, reset each phase
-  std::vector<Rng> backoffRng_;         ///< deterministic jitter per switch
-  int roundAcks_ = 0;  ///< switches done with the current global phase
-  obs::SpanId spanTx_ = obs::kNoSpan;     ///< root span (tracer only)
-  obs::SpanId spanPhase_ = obs::kNoSpan;  ///< currently open phase child
+  SwitchRounds rounds_;
 };
 
 }  // namespace sdt::controller

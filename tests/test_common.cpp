@@ -164,6 +164,23 @@ TEST(Retry, SixtyFourAttemptsStayClamped) {
             static_cast<std::uint64_t>(63 * policy.maxBackoff));
 }
 
+TEST(Retry, SaturatedWaitClampsAfterJitter) {
+  // Every unjittered wait is at least twice maxBackoff, so even the largest
+  // jitter cut (half) leaves it past the cap: each wait is exactly
+  // maxBackoff. Jitter applies before the clamp, never to the clamped value.
+  retry::RetryPolicy policy;
+  policy.maxAttempts = 4;
+  policy.baseBackoff = msToNs(10.0);
+  policy.maxBackoff = msToNs(5.0);
+  policy.jitter = 0.5;
+  retry::RetryCounters counters;
+  const auto r = retry::retryWithBackoff(policy, 3, [](int) { return false; },
+                                         &counters);
+  EXPECT_EQ(r.attempts, 4);
+  EXPECT_EQ(counters.backoffNs, static_cast<std::uint64_t>(3 * policy.maxBackoff));
+  EXPECT_EQ(r.elapsed, 4 * policy.attemptTimeout + 3 * policy.maxBackoff);
+}
+
 TEST(Retry, CountersAccumulateAcrossExchanges) {
   retry::RetryPolicy policy;
   policy.maxAttempts = 3;

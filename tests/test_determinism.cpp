@@ -7,7 +7,10 @@
 // times, event counts, and per-port counters.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "controller/controller.hpp"
 #include "controller/journal.hpp"
@@ -195,9 +198,26 @@ struct ReconfigFingerprint {
   std::size_t stamped = 0;
   std::uint64_t lookups = 0;
   std::uint64_t portHash = 0;
+  std::uint64_t events = 0;  ///< sim.eventsProcessed() at the end of the run
 
   bool operator==(const ReconfigFingerprint&) const = default;
 };
+
+/// Prints in designated-initializer form so a failing pin reads as (and can
+/// be pasted back as) a literal.
+void PrintTo(const ReconfigFingerprint& f, std::ostream* os) {
+  *os << std::boolalpha << "{.committed = " << f.committed
+      << ", .rolledBack = " << f.rolledBack
+      << ", .flowModsInstalled = " << f.flowModsInstalled
+      << ", .flowModsRolledBack = " << f.flowModsRolledBack
+      << ", .flowModsGarbageCollected = " << f.flowModsGarbageCollected
+      << ", .barrierRoundTrips = " << f.barrierRoundTrips
+      << ", .retriesTotal = " << f.retriesTotal
+      << ", .updateWindowEnd = " << f.updateWindowEnd
+      << ", .finishedAt = " << f.finishedAt << ", .violations = " << f.violations
+      << ", .stamped = " << f.stamped << ", .lookups = " << f.lookups
+      << ", .portHash = " << f.portHash << "u, .events = " << f.events << "}";
+}
 
 /// One live line->ring update over a drop/dup/reorder channel while TCP
 /// traffic runs: the whole transaction (retries, backoff draws, channel
@@ -256,6 +276,7 @@ ReconfigFingerprint runReconfigPoint(std::uint64_t seed) {
   fp.stamped = checker.stampedPackets();
   fp.lookups = checker.lookups();
   fp.portHash = hashPorts(*built.net);
+  fp.events = sim.eventsProcessed();
   return fp;
 }
 
@@ -304,9 +325,23 @@ struct CrashRecoveryFingerprint {
   TimeNs recoveredAt = 0;
   std::uint64_t journalHash = 0;  ///< FNV-1a over the raw journal bytes
   std::uint64_t portHash = 0;
+  std::uint64_t events = 0;  ///< sim.eventsProcessed() at the end of the run
 
   bool operator==(const CrashRecoveryFingerprint&) const = default;
 };
+
+void PrintTo(const CrashRecoveryFingerprint& f, std::ostream* os) {
+  *os << std::boolalpha << "{.crashed = " << f.crashed
+      << ", .decision = " << f.decision << ", .converged = " << f.converged
+      << ", .targetEpoch = " << f.targetEpoch << ", .flowMods = " << f.flowMods
+      << ", .statsRounds = " << f.statsRounds
+      << ", .retriesTotal = " << f.retriesTotal
+      << ", .switchesDrifted = " << f.switchesDrifted
+      << ", .switchesRebooted = " << f.switchesRebooted
+      << ", .recoveredAt = " << f.recoveredAt
+      << ", .journalHash = " << f.journalHash << "u, .portHash = " << f.portHash
+      << "u, .events = " << f.events << "}";
+}
 
 std::uint64_t hashBytes(const std::string& bytes) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -392,6 +427,7 @@ CrashRecoveryFingerprint runCrashRecoverPoint(std::uint64_t seed,
   fp.recoveredAt = r.finishedAt;
   fp.journalHash = hashBytes(storage.bytes());
   fp.portHash = hashPorts(*built.net);
+  fp.events = sim.eventsProcessed();
   return fp;
 }
 
@@ -431,6 +467,80 @@ TEST(Determinism, CrashRecoveryBitIdenticalSerialVsThreaded) {
     anyDiffer = anyDiffer || serial[i].journalHash != serial[0].journalHash;
   }
   EXPECT_TRUE(anyDiffer);
+}
+
+TEST(Determinism, PinnedControlPlaneFingerprint) {
+  // Literal fingerprints of the control plane over a lossy channel: the live
+  // transaction and crash recovery. Any change to the order of channel
+  // sends, timer schedules or backoff draws moves an event count, a finish
+  // time or a hash here. Update only when the protocol is meant to change.
+  const std::pair<std::uint64_t, ReconfigFingerprint> reconfig[] = {
+      {11,
+       {.committed = true, .rolledBack = false, .flowModsInstalled = 72,
+        .flowModsRolledBack = 0, .flowModsGarbageCollected = 60,
+        .barrierRoundTrips = 2, .retriesTotal = 3, .updateWindowEnd = 410913,
+        .finishedAt = 1425576, .violations = 0, .stamped = 768, .lookups = 3072,
+        .portHash = 3469772611416253829u, .events = 14533}},
+      {22,
+       {.committed = true, .rolledBack = false, .flowModsInstalled = 72,
+        .flowModsRolledBack = 0, .flowModsGarbageCollected = 60,
+        .barrierRoundTrips = 2, .retriesTotal = 6, .updateWindowEnd = 465800,
+        .finishedAt = 1619068, .violations = 0, .stamped = 768, .lookups = 3072,
+        .portHash = 10569381641036765537u, .events = 14577}},
+      {33,
+       {.committed = true, .rolledBack = false, .flowModsInstalled = 72,
+        .flowModsRolledBack = 0, .flowModsGarbageCollected = 60,
+        .barrierRoundTrips = 2, .retriesTotal = 4, .updateWindowEnd = 711519,
+        .finishedAt = 1725947, .violations = 0, .stamped = 768, .lookups = 3072,
+        .portHash = 3469772611416253829u, .events = 14535}},
+      {44,
+       {.committed = true, .rolledBack = false, .flowModsInstalled = 72,
+        .flowModsRolledBack = 0, .flowModsGarbageCollected = 60,
+        .barrierRoundTrips = 2, .retriesTotal = 11, .updateWindowEnd = 3473327,
+        .finishedAt = 4783835, .violations = 0, .stamped = 768, .lookups = 3072,
+        .portHash = 3469772611416253829u, .events = 14551}},
+  };
+  for (const auto& [seed, want] : reconfig) {
+    EXPECT_EQ(runReconfigPoint(seed), want) << "reconfig seed " << seed;
+  }
+
+  const std::tuple<std::uint64_t, controller::CrashPoint, CrashRecoveryFingerprint>
+      crash[] = {
+          {11, controller::CrashPoint::kPrepare,
+           {.crashed = true, .decision = 2, .converged = true, .targetEpoch = 1,
+            .flowMods = 31, .statsRounds = 2, .retriesTotal = 2,
+            .switchesDrifted = 1, .switchesRebooted = 1, .recoveredAt = 80372915,
+            .journalHash = 1910524941480441030u, .portHash = 3469772611416253829u,
+            .events = 14520}},
+          {22, controller::CrashPoint::kMidInstall,
+           {.crashed = true, .decision = 2, .converged = true, .targetEpoch = 1,
+            .flowMods = 67, .statsRounds = 2, .retriesTotal = 1,
+            .switchesDrifted = 2, .switchesRebooted = 1, .recoveredAt = 80152785,
+            .journalHash = 9786738776744162973u, .portHash = 3469772611416253829u,
+            .events = 14524}},
+          {33, controller::CrashPoint::kPreFlip,
+           {.crashed = true, .decision = 2, .converged = true, .targetEpoch = 1,
+            .flowMods = 67, .statsRounds = 2, .retriesTotal = 3,
+            .switchesDrifted = 2, .switchesRebooted = 1, .recoveredAt = 80432938,
+            .journalHash = 15390762749216243342u, .portHash = 3469772611416253829u,
+            .events = 14545}},
+          {44, controller::CrashPoint::kPostFlip,
+           {.crashed = true, .decision = 1, .converged = true, .targetEpoch = 2,
+            .flowMods = 69, .statsRounds = 2, .retriesTotal = 8,
+            .switchesDrifted = 2, .switchesRebooted = 1, .recoveredAt = 81439050,
+            .journalHash = 6846022208031396572u, .portHash = 3469772611416253829u,
+            .events = 14559}},
+          {55, controller::CrashPoint::kMidGc,
+           {.crashed = true, .decision = 1, .converged = true, .targetEpoch = 2,
+            .flowMods = 37, .statsRounds = 2, .retriesTotal = 3,
+            .switchesDrifted = 1, .switchesRebooted = 1, .recoveredAt = 80475734,
+            .journalHash = 7332633180195213086u, .portHash = 3469772611416253829u,
+            .events = 14549}},
+      };
+  for (const auto& [seed, point, want] : crash) {
+    EXPECT_EQ(runCrashRecoverPoint(seed, point), want)
+        << "crash seed " << seed << " at " << controller::crashPointName(point);
+  }
 }
 
 /// One fully instrumented live update: registry fed by the data-plane and

@@ -90,6 +90,16 @@ TEST(LinkProjection, HostsLandOnTheirLogicalSwitch) {
   }
 }
 
+TEST(LinkProjection, SixteenRingFitsOneSixtyFourPortSwitch) {
+  // 64 ports minus 8 host ports leave 28 self-link pairs: enough for the 16
+  // links of a 16-switch ring on a single switch.
+  const topo::Topology ring =
+      topo::makeRing(16, {.hostsPerSwitch = 0, .linkSpeed = Gbps{10}});
+  const Plant plant = canonicalPlant(1, 8, 0);
+  ASSERT_EQ(plant.selfLinks.size(), 28u);
+  EXPECT_TRUE(LinkProjector::project(ring, plant).ok());
+}
+
 TEST(LinkProjection, FailsWithHelpfulErrorWhenSelfLinksShort) {
   const topo::Topology topo = topo::makeFullMesh(10);  // 45 links, 90 ports
   const Plant plant = canonicalPlant(1, 2, 0, openflow64x100G());

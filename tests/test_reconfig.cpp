@@ -271,6 +271,63 @@ TEST(Reconfig, PlanUpdateAbortsCleanlyWhenBothVersionsExceedCapacity) {
   expectPureEpoch(dep, 1);
 }
 
+/// A scoped transaction on one switch of a large plant: switch `sw` holds
+/// one live epoch-1 rule, the plan installs one epoch-2 rule there. Runs
+/// over a lossless channel and returns the finished report.
+controller::ReconfigReport runScopedOnSwitch(int numSwitches, int sw,
+                                             controller::Deployment& dep) {
+  for (int i = 0; i < numSwitches; ++i) {
+    dep.switches.push_back(std::make_shared<openflow::Switch>(i, 4));
+  }
+  openflow::FlowEntry live;
+  live.priority = 10;
+  live.match.dstAddr = 1;
+  live.actions = {openflow::Action::output(1)};
+  live.cookie = openflow::makeCookie(1, 7);
+  EXPECT_TRUE(dep.switches[static_cast<std::size_t>(sw)]->table().add(live).ok());
+  dep.switches[static_cast<std::size_t>(sw)]->setIngressEpoch(1);
+
+  controller::UpdatePlan plan;
+  plan.fromEpoch = 1;
+  plan.toEpoch = 2;
+  plan.tables.resize(static_cast<std::size_t>(numSwitches));
+  openflow::FlowEntry next = live;
+  next.actions = {openflow::Action::output(2)};
+  next.cookie = openflow::makeCookie(2, 7);
+  plan.tables[static_cast<std::size_t>(sw)].push_back(next);
+  plan.totalEntries = 1;
+  plan.scope = {sw};
+  plan.flipPorts = {{0}};
+
+  sim::Simulator sim;
+  sim::ControlChannel channel(sim, 1, {});
+  controller::ReconfigTransaction tx(sim, channel, dep, std::move(plan));
+  tx.start();
+  sim.run();
+  EXPECT_TRUE(tx.finished());
+  return tx.report();
+}
+
+TEST(Reconfig, GcRunsOnSwitchIdsPastTheXidByte) {
+  // Every round of a transaction needs its own xid on every switch, whatever
+  // the switch id: were install and gc to share one at switch 768 (3 << 8,
+  // gc's round in a byte-shifted layout), the switch would dedup gc away and
+  // leave the epoch-1 rule behind a "committed" transaction. 767 is the
+  // control.
+  for (const int sw : {767, 768}) {
+    controller::Deployment dep;
+    const controller::ReconfigReport r = runScopedOnSwitch(769, sw, dep);
+    EXPECT_TRUE(r.committed) << "switch " << sw;
+    EXPECT_TRUE(r.pureStateVerified) << "switch " << sw;
+    EXPECT_FALSE(r.gcIncomplete) << "switch " << sw;
+    EXPECT_EQ(r.flowModsGarbageCollected, 1) << "switch " << sw;
+    const openflow::Switch& ofs = *dep.switches[static_cast<std::size_t>(sw)];
+    EXPECT_EQ(ofs.table().countEpoch(1), 0u) << "switch " << sw;
+    EXPECT_EQ(ofs.table().countEpoch(2), 1u) << "switch " << sw;
+    EXPECT_EQ(ofs.portIngressEpoch(0), 2u) << "switch " << sw;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fuzz: 200+ random control-channel schedules through a live reconfiguration.
 // Every run must (a) terminate, (b) end committed-and-pure or
