@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 
 #include "common/strings.hpp"
@@ -11,6 +12,36 @@
 #include "routing/degraded.hpp"
 
 namespace sdt::controller {
+
+namespace {
+
+/// Connected-component label per logical switch over the fabric links,
+/// skipping the links `severedMask` marks (null: none). Labels count up in
+/// the order of each component's lowest switch.
+std::vector<int> componentLabels(const topo::Topology& topo,
+                                 const std::vector<char>* severedMask) {
+  std::vector<int> root(static_cast<std::size_t>(topo.numSwitches()));
+  std::iota(root.begin(), root.end(), 0);
+  const auto find = [&](int v) {
+    while (root[v] != v) v = root[v] = root[root[v]];
+    return v;
+  };
+  for (std::size_t li = 0; li < topo.links().size(); ++li) {
+    if (severedMask != nullptr && (*severedMask)[li]) continue;
+    root[find(topo.links()[li].a.sw)] = find(topo.links()[li].b.sw);
+  }
+  std::vector<int> labelOfRoot(root.size(), -1);
+  std::vector<int> component(root.size());
+  int next = 0;
+  for (int sw = 0; sw < topo.numSwitches(); ++sw) {
+    int& label = labelOfRoot[find(sw)];
+    if (label == -1) label = next++;
+    component[sw] = label;
+  }
+  return component;
+}
+
+}  // namespace
 
 // Shared with crash recovery via controller/table_diff.hpp; doc comments
 // live on the declarations there.
@@ -30,42 +61,7 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
   // so cross-island packets die on table miss — isolation by construction.
   // A degraded topology may also have split: components follow the
   // *surviving* links.
-  std::vector<int> component(static_cast<std::size_t>(topo.numSwitches()), -1);
-  if (severedMask == nullptr) {
-    const topo::Graph g = topo.switchGraph();
-    int label = 0;
-    for (int start = 0; start < g.numVertices(); ++start) {
-      if (component[start] != -1) continue;
-      const auto dist = g.bfsDistances(start);
-      for (int v = 0; v < g.numVertices(); ++v) {
-        if (dist[v] >= 0) component[v] = label;
-      }
-      ++label;
-    }
-  } else {
-    int label = 0;
-    for (int start = 0; start < topo.numSwitches(); ++start) {
-      if (component[start] != -1) continue;
-      std::vector<int> frontier{start};
-      component[start] = label;
-      while (!frontier.empty()) {
-        const int sw = frontier.back();
-        frontier.pop_back();
-        for (const int li : topo.linksOf(sw)) {
-          if ((*severedMask)[li]) continue;
-          const int peer = topo.link(li).peerOf(sw).sw;
-          if (component[peer] == -1) {
-            component[peer] = label;
-            frontier.push_back(peer);
-          }
-        }
-      }
-      ++label;
-    }
-  }
-
-  // Physical host port per host, for delivery rules.
-  const auto hostPhys = [&](topo::HostId h) { return projection.hostPortOf(h); };
+  const std::vector<int> component = componentLabels(topo, severedMask);
 
   // Every packet is matched by (ingress port, destination [, VC]); the
   // ingress port pins the packet to its sub-switch, which is what keeps two
@@ -80,7 +76,7 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
       if (pp.valid()) ingress.emplace_back(pp.port, false);
     }
     for (const topo::HostId h : topo.hostsOf(sw)) {
-      ingress.emplace_back(hostPhys(h).port, true);
+      ingress.emplace_back(projection.hostPortOf(h).port, true);
     }
 
     for (topo::HostId dst = 0; dst < topo.numHosts(); ++dst) {
@@ -90,7 +86,7 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
         routing::Hop hop{};
         int outPhysPort;
         if (local) {
-          outPhysPort = hostPhys(dst).port;
+          outPhysPort = projection.hostPortOf(dst).port;
           hop.vc = vc;
         } else {
           auto r = routing.nextHop(sw, dst, vc,
@@ -140,25 +136,68 @@ std::string ruleKey(const openflow::FlowEntry& e) {
   return key;
 }
 
-TableDiff diffEntries(const std::vector<openflow::FlowEntry>& live,
-                      const std::vector<openflow::FlowEntry>& desired) {
-  TableDiff diff;
-  std::map<std::string, int> want;
-  for (const openflow::FlowEntry& e : desired) ++want[ruleKey(e)];
-  for (const openflow::FlowEntry& e : live) {
-    const auto it = want.find(ruleKey(e));
-    if (it == want.end() || it->second == 0) {
-      diff.toRemove.push_back(e);
-    } else {
-      --it->second;
+Result<CompiledIntent> prepareIntent(const topo::Topology& topo,
+                                     const routing::RoutingAlgorithm& routing,
+                                     const projection::Plant& plant,
+                                     const DeployOptions& options, std::uint32_t epoch,
+                                     OpTrace* trace) {
+  const auto phase = [trace](const char* step) {
+    if (trace != nullptr) trace->phase(step);
+  };
+  if (options.requireDeadlockFree) {
+    phase("deadlock_check");
+    const routing::DeadlockReport dl = routing::analyzeDeadlock(topo, routing);
+    if (!dl.error.empty()) {
+      return makeError("deadlock analysis failed: " + dl.error);
+    }
+    if (!dl.deadlockFree) {
+      return makeError(strFormat(
+          "routing '%s' on '%s' has a channel-dependency cycle (%zu channels); "
+          "refusing it on a lossless fabric",
+          routing.name().c_str(), topo.name().c_str(), dl.cycle.size()));
     }
   }
-  std::map<std::string, int> have;
-  for (const openflow::FlowEntry& e : live) ++have[ruleKey(e)];
+  phase("project");
+  auto proj = projection::LinkProjector::project(topo, plant, options.projector);
+  if (!proj) return proj.error();
+  phase("compile");
+  auto tables = compileFlowTables(topo, proj.value(), plant, routing, options, epoch);
+  if (!tables) return tables.error();
+  return CompiledIntent{std::move(proj).value(), std::move(tables).value()};
+}
+
+TableDiff diffEntries(const std::vector<openflow::FlowEntry>& live,
+                      const std::vector<openflow::FlowEntry>& desired,
+                      std::uint16_t tenant) {
+  // Per rule key: desired copies no live entry matched yet, live entries
+  // kept, and the epoch the desired copies carry.
+  struct Slot {
+    int unmatched = 0;
+    int kept = 0;
+    std::uint32_t epoch = 0;
+  };
+  std::map<std::string, Slot> slots;
   for (const openflow::FlowEntry& e : desired) {
-    const auto it = have.find(ruleKey(e));
-    if (it != have.end() && it->second > 0) {
-      --it->second;
+    Slot& slot = slots[ruleKey(e)];
+    ++slot.unmatched;
+    slot.epoch = openflow::cookieEpoch(e.cookie);
+  }
+  TableDiff diff;
+  for (const openflow::FlowEntry& e : live) {
+    if (tenant != 0 && openflow::cookieTenant(e.cookie) != tenant) continue;
+    const auto it = slots.find(ruleKey(e));
+    if (it == slots.end() || it->second.unmatched == 0) {
+      diff.toRemove.push_back(e);
+      continue;
+    }
+    --it->second.unmatched;
+    ++it->second.kept;
+    if (openflow::cookieEpoch(e.cookie) != it->second.epoch) ++diff.restamps;
+  }
+  for (const openflow::FlowEntry& e : desired) {
+    Slot& slot = slots[ruleKey(e)];
+    if (slot.kept > 0) {
+      --slot.kept;
     } else {
       diff.toAdd.push_back(&e);
     }
@@ -166,61 +205,31 @@ TableDiff diffEntries(const std::vector<openflow::FlowEntry>& live,
   return diff;
 }
 
+void recountEntries(Deployment& deployment,
+                    const std::function<std::size_t(const openflow::FlowTable&)>& count) {
+  deployment.totalFlowEntries = 0;
+  deployment.maxEntriesPerSwitch = 0;
+  for (const auto& ofs : deployment.switches) {
+    const int n = static_cast<int>(count(ofs->table()));
+    deployment.totalFlowEntries += n;
+    deployment.maxEntriesPerSwitch = std::max(deployment.maxEntriesPerSwitch, n);
+  }
+}
+
+void recountEntries(Deployment& deployment, std::uint16_t tenant) {
+  recountEntries(deployment, [tenant](const openflow::FlowTable& t) {
+    return tenant != 0 ? t.countTenant(tenant) : t.size();
+  });
+}
+
 }  // namespace detail
 
+using detail::OpTrace;
 using detail::TableDiff;
 using detail::compileFlowTables;
 using detail::diffEntries;
-
-namespace {
-
-/// RAII root span for one controller operation. The controller's work is
-/// instantaneous in simulated time, so the span starts at the obs clock's
-/// reading and its phases advance only through the *modeled* durations the
-/// op computes (reconfigTime, retry backoff); a destructor-time finish
-/// stamps early error returns with outcome=error.
-class ScopedOpSpan {
- public:
-  ScopedOpSpan(const SdtController::ObsContext& obs, const char* name)
-      : tracer_(obs.tracer), now_(obs.clock ? obs.clock() : 0) {
-    if (tracer_ != nullptr) root_ = tracer_->begin(name, now_);
-  }
-  ScopedOpSpan(const ScopedOpSpan&) = delete;
-  ScopedOpSpan& operator=(const ScopedOpSpan&) = delete;
-  ~ScopedOpSpan() { finish("error"); }
-
-  /// Close the current phase child and open `name`.
-  void phase(const char* name) {
-    if (tracer_ == nullptr) return;
-    if (phase_ != obs::kNoSpan) tracer_->end(phase_, now_);
-    phase_ = tracer_->begin(name, now_, root_);
-  }
-  /// Account modeled time to the currently open phase.
-  void advance(TimeNs d) { now_ += d; }
-  void annotate(const char* key, const std::string& value) {
-    if (tracer_ != nullptr && root_ != obs::kNoSpan) {
-      tracer_->annotate(root_, key, value);
-    }
-  }
-  void finish(const char* outcome) {
-    if (tracer_ == nullptr || root_ == obs::kNoSpan) return;
-    if (phase_ != obs::kNoSpan) {
-      tracer_->end(phase_, now_);
-      phase_ = obs::kNoSpan;
-    }
-    tracer_->annotate(root_, "outcome", outcome);
-    tracer_->end(root_, now_);
-    root_ = obs::kNoSpan;
-  }
-
- private:
-  obs::Tracer* tracer_;
-  TimeNs now_;
-  obs::SpanId root_ = obs::kNoSpan;
-  obs::SpanId phase_ = obs::kNoSpan;
-};
-
-}  // namespace
+using detail::prepareIntent;
+using detail::recountEntries;
 
 CheckReport SdtController::check(const std::vector<const topo::Topology*>& topologies,
                                  const DeployOptions& options) const {
@@ -244,45 +253,19 @@ CheckReport SdtController::check(const std::vector<const topo::Topology*>& topol
       // and compare demand against the plant's reserves, naming the
       // offending topology. Falls back to the projector's error when the
       // demand analysis finds no concrete gap (e.g. partitioning failed).
-      bool quantified = false;
-      const int parts = std::min(plant_.numSwitches(), std::max(1, t->numSwitches()));
-      std::vector<int> assignment(static_cast<std::size_t>(t->numSwitches()), 0);
-      bool partitioned = true;
-      if (parts > 1) {
-        partition::PartitionOptions popt;
-        popt.parts = parts;
-        auto part = partition::partitionGraph(t->switchGraph(), popt);
-        if (part) {
-          assignment = std::move(part.value().assignment);
-        } else {
-          partitioned = false;
-        }
-      }
-      if (partitioned) {
-        std::vector<int> selfPer(static_cast<std::size_t>(parts), 0);
-        std::map<std::pair<int, int>, int> interPer;
-        for (const topo::Link& link : t->links()) {
-          const int pa = assignment[link.a.sw];
-          const int pb = assignment[link.b.sw];
-          if (pa == pb) {
-            ++selfPer[pa];
-          } else {
-            ++interPer[std::minmax(pa, pb)];
-          }
-        }
-        std::vector<int> hostsPer(static_cast<std::size_t>(parts), 0);
-        for (topo::HostId h = 0; h < t->numHosts(); ++h) {
-          ++hostsPer[assignment[t->hostSwitch(h)]];
-        }
-        const int needSelf = *std::max_element(selfPer.begin(), selfPer.end());
-        const int needHosts = *std::max_element(hostsPer.begin(), hostsPer.end());
+      const std::size_t known = report.problems.size();
+      partition::PartitionOptions popt;
+      popt.parts = plant_.numSwitches();
+      if (auto demand = projection::partitionDemand(*t, popt); demand) {
+        const projection::PartitionDemand& d = demand.value();
+        const int needSelf = *std::max_element(d.selfLinks.begin(), d.selfLinks.end());
+        const int needHosts = *std::max_element(d.hosts.begin(), d.hosts.end());
         if (needSelf > minSelfSupply) {
           report.problems.push_back(
               strFormat("topo '%s': needs %d self-links/switch, plant has %d",
                         t->name().c_str(), needSelf, minSelfSupply));
-          quantified = true;
         }
-        for (const auto& [pair, count] : interPer) {
+        for (const auto& [pair, count] : d.interLinks) {
           const int supply =
               static_cast<int>(plant_.interLinksBetween(pair.first, pair.second).size());
           if (count > supply) {
@@ -290,17 +273,15 @@ CheckReport SdtController::check(const std::vector<const topo::Topology*>& topol
                 "topo '%s': needs %d inter-switch links between switches %d-%d, "
                 "plant has %d",
                 t->name().c_str(), count, pair.first, pair.second, supply));
-            quantified = true;
           }
         }
         if (needHosts > minHostSupply) {
           report.problems.push_back(
               strFormat("topo '%s': needs %d host ports/switch, plant has %d",
                         t->name().c_str(), needHosts, minHostSupply));
-          quantified = true;
         }
       }
-      if (!quantified) {
+      if (report.problems.size() == known) {
         report.problems.push_back(
             strFormat("topo '%s': %s", t->name().c_str(), proj.error().message.c_str()));
       }
@@ -317,42 +298,22 @@ CheckReport SdtController::check(const std::vector<const topo::Topology*>& topol
                      : (rl.interSwitch ? plant_.interLinks[rl.physLink]
                                        : plant_.selfLinks[rl.physLink]);
       if (rl.interSwitch) {
-        const auto key = std::minmax(l.a.sw, l.b.sw);
-        ++interPerPair[{key.first, key.second}];
+        report.maxInterLinksPerPair = std::max(report.maxInterLinksPerPair,
+                                               ++interPerPair[std::minmax(l.a.sw, l.b.sw)]);
       } else {
-        ++selfPerSwitch[l.a.sw];
+        report.maxSelfLinksPerSwitch =
+            std::max(report.maxSelfLinksPerSwitch, ++selfPerSwitch[l.a.sw]);
       }
     }
     std::vector<int> hostsPerSwitch(static_cast<std::size_t>(plant_.numSwitches()), 0);
     for (topo::HostId h = 0; h < t->numHosts(); ++h) {
-      ++hostsPerSwitch[p.hostPortOf(h).sw];
-    }
-    for (const auto& [pair, count] : interPerPair) {
-      (void)pair;
-      report.maxInterLinksPerPair = std::max(report.maxInterLinksPerPair, count);
-    }
-    for (const int c : selfPerSwitch) {
-      report.maxSelfLinksPerSwitch = std::max(report.maxSelfLinksPerSwitch, c);
-    }
-    for (const int c : hostsPerSwitch) {
-      report.maxHostPortsPerSwitch = std::max(report.maxHostPortsPerSwitch, c);
+      report.maxHostPortsPerSwitch =
+          std::max(report.maxHostPortsPerSwitch, ++hostsPerSwitch[p.hostPortOf(h).sw]);
     }
     // Flow-table demand (§VII-C). Matches compileFlowTables exactly at one
     // VC — (ingress ports - 1) entries per reachable destination — and is a
     // lower bound for multi-VC strategies.
-    std::vector<int> component(static_cast<std::size_t>(t->numSwitches()), -1);
-    {
-      const topo::Graph g = t->switchGraph();
-      int label = 0;
-      for (int start = 0; start < g.numVertices(); ++start) {
-        if (component[start] != -1) continue;
-        const auto dist = g.bfsDistances(start);
-        for (int v = 0; v < g.numVertices(); ++v) {
-          if (dist[v] >= 0) component[v] = label;
-        }
-        ++label;
-      }
-    }
+    const std::vector<int> component = componentLabels(*t, nullptr);
     std::map<int, int> hostsInComponent;
     for (topo::HostId h = 0; h < t->numHosts(); ++h) {
       ++hostsInComponent[component[t->hostSwitch(h)]];
@@ -387,40 +348,21 @@ CheckReport SdtController::check(const std::vector<const topo::Topology*>& topol
 Result<Deployment> SdtController::deploy(const topo::Topology& topo,
                                          const routing::RoutingAlgorithm& routing,
                                          const DeployOptions& options) const {
-  ScopedOpSpan span(obs_, "deploy");
-  span.annotate("topology", topo.name());
-  span.annotate("routing", routing.name());
-  if (options.requireDeadlockFree) {
-    span.phase("deploy.deadlock_check");
-    const routing::DeadlockReport dl = routing::analyzeDeadlock(topo, routing);
-    if (!dl.error.empty()) {
-      return makeError("deadlock analysis failed: " + dl.error);
-    }
-    if (!dl.deadlockFree) {
-      return makeError(strFormat(
-          "routing '%s' on '%s' has a channel-dependency cycle (%zu channels); "
-          "refusing to deploy on a lossless fabric",
-          routing.name().c_str(), topo.name().c_str(), dl.cycle.size()));
-    }
-  }
-  span.phase("deploy.project");
-  auto proj = projection::LinkProjector::project(topo, plant_, options.projector);
-  if (!proj) return proj.error();
-
-  Deployment deployment;  // epoch defaults to 1: the first configuration
+  OpTrace trace(obs_, "deploy");
+  trace.span.annotate("topology", topo.name());
+  trace.span.annotate("routing", routing.name());
+  Deployment deployment;
   // Tenant slices start at scoped epoch (tenant, 1); tenant 0 decodes to the
   // legacy epoch 1, so single-tenant deployments are unchanged.
   deployment.epoch = openflow::makeScopedEpoch(options.tenant, 1);
-  span.phase("deploy.compile");
-  auto tables =
-      compileFlowTables(topo, proj.value(), plant_, routing, options, deployment.epoch);
-  if (!tables) return tables.error();
+  auto intent = prepareIntent(topo, routing, plant_, options, deployment.epoch, &trace);
+  if (!intent) return intent.error();
 
-  span.phase("deploy.install");
-  deployment.projection = std::move(proj).value();
+  trace.phase("install");
+  deployment.projection = std::move(intent.value().projection);
   for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
     const projection::PhysicalSwitchSpec& spec = plant_.switches[psw];
-    const auto& entries = tables.value()[psw];
+    const auto& entries = intent.value().tables[psw];
     if (entries.size() > spec.flowTableCapacity) {
       return makeError(strFormat(
           "physical switch %d needs %zu flow entries but '%s' holds %zu "
@@ -433,19 +375,17 @@ Result<Deployment> SdtController::deploy(const topo::Topology& topo,
       if (auto s = ofs->table().add(e); !s) return s.error();
     }
     ofs->setIngressEpoch(deployment.epoch);
-    deployment.totalFlowEntries += static_cast<int>(entries.size());
-    deployment.maxEntriesPerSwitch =
-        std::max(deployment.maxEntriesPerSwitch, static_cast<int>(entries.size()));
     deployment.switches.push_back(std::move(ofs));
   }
+  recountEntries(deployment, options.tenant);
   deployment.reconfigTime =
       projection::reconfigTime(projection::TpMethod::kSDT, deployment.totalFlowEntries);
   deployment.topology = topo.name();
   deployment.routing = routing.name();
   deployment.ecmpSalt = options.ecmpSalt;
-  span.advance(deployment.reconfigTime);  // install covers the modeled time
-  span.annotate("rules", std::to_string(deployment.totalFlowEntries));
-  span.finish("ok");
+  trace.now += deployment.reconfigTime;  // install covers the modeled time
+  trace.span.annotate("rules", std::to_string(deployment.totalFlowEntries));
+  trace.span.finish("ok", trace.now);
   return deployment;
 }
 
@@ -453,16 +393,16 @@ Result<Deployment> SdtController::reconfigure(const Deployment& previous,
                                               const topo::Topology& next,
                                               const routing::RoutingAlgorithm& routing,
                                               const DeployOptions& options) const {
-  ScopedOpSpan span(obs_, "reconfigure_offline");
-  span.annotate("topology", next.name());
-  span.phase("reconfigure_offline.compile");
+  OpTrace trace(obs_, "reconfigure_offline");
+  trace.span.annotate("topology", next.name());
+  trace.phase("compile");
   auto deployment = deploy(next, routing, options);
   if (!deployment) return deployment;
   // Incremental install: per switch, only the multiset difference between
   // the previous live table and the recompiled one costs flow-mods. The
   // per-entry flow-mod cost stays the dominant reconfiguration term (Table
   // II), so shrinking the mod count is exactly what shrinks the downtime.
-  span.phase("reconfigure_offline.diff");
+  trace.phase("diff");
   int mods = 0;
   for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
     const TableDiff diff =
@@ -473,10 +413,10 @@ Result<Deployment> SdtController::reconfigure(const Deployment& previous,
   deployment.value().reconfigFlowMods = mods;
   deployment.value().reconfigTime =
       projection::reconfigTime(projection::TpMethod::kSDT, mods);
-  span.phase("reconfigure_offline.install");
-  span.advance(deployment.value().reconfigTime);
-  span.annotate("flow_mods", std::to_string(mods));
-  span.finish("ok");
+  trace.phase("install");
+  trace.now += deployment.value().reconfigTime;
+  trace.span.annotate("flow_mods", std::to_string(mods));
+  trace.span.finish("ok", trace.now);
   return deployment;
 }
 
@@ -484,39 +424,8 @@ Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
                                              const topo::Topology& next,
                                              const routing::RoutingAlgorithm& routing,
                                              const DeployOptions& options) const {
-  ScopedOpSpan span(obs_, "plan_update");
-  span.annotate("topology", next.name());
-  if (options.requireDeadlockFree) {
-    span.phase("plan_update.deadlock_check");
-    const routing::DeadlockReport dl = routing::analyzeDeadlock(next, routing);
-    if (!dl.error.empty()) {
-      return makeError("deadlock analysis failed: " + dl.error);
-    }
-    if (!dl.deadlockFree) {
-      return makeError(strFormat(
-          "routing '%s' on '%s' has a channel-dependency cycle; refusing a "
-          "live update on a lossless fabric",
-          routing.name().c_str(), next.name().c_str()));
-    }
-  }
-  span.phase("plan_update.project");
-  auto proj = projection::LinkProjector::project(next, plant_, options.projector);
-  if (!proj) return proj.error();
-
-  // Host-port stability: fabric links can move between fixed cables because
-  // the spares are already wired, but a host NIC sits on one physical port —
-  // a plan that moves it would need a human with a cable mid-update.
-  for (topo::HostId h = 0; h < next.numHosts(); ++h) {
-    const projection::PhysPort was = current.projection.hostPortOf(h);
-    const projection::PhysPort now = proj.value().hostPortOf(h);
-    if (!(was == now)) {
-      return makeError(strFormat(
-          "live update would move host %d from physical port %d/%d to %d/%d; "
-          "host NICs cannot be recabled mid-run",
-          h, was.sw, was.port, now.sw, now.port));
-    }
-  }
-
+  OpTrace trace(obs_, "plan_update");
+  trace.span.annotate("topology", next.name());
   // Scoped epochs advance within the tenant's 16-bit local space; rolling
   // over into the next tenant's namespace would be catastrophic, so refuse.
   if (openflow::epochLocal(current.epoch) == 0xFFFF) {
@@ -527,11 +436,31 @@ Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
   UpdatePlan plan;
   plan.fromEpoch = current.epoch;
   plan.toEpoch = current.epoch + 1;
-  span.phase("plan_update.compile");
-  auto tables =
-      compileFlowTables(next, proj.value(), plant_, routing, options, plan.toEpoch);
-  if (!tables) return tables.error();
-  span.phase("plan_update.capacity_check");
+  auto intent = prepareIntent(next, routing, plant_, options, plan.toEpoch, &trace);
+  if (!intent) return intent.error();
+  plan.projection = std::move(intent.value().projection);
+  plan.tables = std::move(intent.value().tables);
+  trace.phase("capacity_check");
+
+  // Host-port stability: fabric links can move between fixed cables because
+  // the spares are already wired, but a host NIC sits on one physical port —
+  // a plan that moves or adds one would need a human with a cable mid-update.
+  for (topo::HostId h = 0; h < next.numHosts(); ++h) {
+    if (h >= current.projection.numHosts()) {
+      return makeError(strFormat(
+          "live update would add host %d, which has no physical port in the "
+          "current deployment; host NICs cannot be recabled mid-run",
+          h));
+    }
+    const projection::PhysPort was = current.projection.hostPortOf(h);
+    const projection::PhysPort now = plan.projection.hostPortOf(h);
+    if (!(was == now)) {
+      return makeError(strFormat(
+          "live update would move host %d from physical port %d/%d to %d/%d; "
+          "host NICs cannot be recabled mid-run",
+          h, was.sw, was.port, now.sw, now.port));
+    }
+  }
 
   // Two-version capacity: during the update window each switch holds its
   // full live table *plus* the full next-epoch set (§VII-C is the binding
@@ -539,7 +468,7 @@ Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
   // in-flight transaction.
   for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
     const std::size_t live = current.switches[psw]->table().size();
-    const std::size_t add = tables.value()[psw].size();
+    const std::size_t add = plan.tables[psw].size();
     const std::size_t capacity = plant_.switches[psw].flowTableCapacity;
     if (live + add > capacity) {
       return makeError(strFormat(
@@ -549,14 +478,12 @@ Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
     }
     plan.totalEntries += static_cast<int>(add);
   }
-  plan.projection = std::move(proj).value();
-  plan.tables = std::move(tables).value();
   plan.topology = next.name();
   plan.routing = routing.name();
   plan.ecmpSalt = options.ecmpSalt;
-  span.annotate("rules", std::to_string(plan.totalEntries));
-  span.annotate("to_epoch", std::to_string(plan.toEpoch));
-  span.finish("ok");
+  trace.span.annotate("rules", std::to_string(plan.totalEntries));
+  trace.span.annotate("to_epoch", std::to_string(plan.toEpoch));
+  trace.span.finish("ok", trace.now);
   return plan;
 }
 
@@ -565,10 +492,10 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
                                            const routing::RoutingAlgorithm& routing,
                                            const FailureSet& failures,
                                            const RepairOptions& options) const {
-  ScopedOpSpan span(obs_, "repair");
-  span.annotate("failed_ports", std::to_string(failures.ports.size()));
-  span.annotate("crashed_switches", std::to_string(failures.crashedSwitches.size()));
-  span.phase("repair.reproject");
+  OpTrace trace(obs_, "repair");
+  trace.span.annotate("failed_ports", std::to_string(failures.ports.size()));
+  trace.span.annotate("crashed_switches", std::to_string(failures.crashedSwitches.size()));
+  trace.phase("reproject");
   RepairReport report;
   projection::Projection& proj = deployment.projection;
   const int oldTotal = deployment.totalFlowEntries;
@@ -637,7 +564,7 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
   }
   report.degraded = !severedIds.empty();
 
-  span.phase("repair.reroute");
+  trace.phase("reroute");
   // Phase 2 — routing on what survives. With every link re-projected the
   // original routing still holds (the logical topology is intact); severed
   // links force a detour-routing recompute and may split the fabric.
@@ -669,7 +596,7 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
   // table against the recompiled one, applied as strict-delete + add
   // flow-mods over the (possibly flaky) control channel. A crashed switch's
   // live table is empty, so the diff reinstalls its exact fresh set.
-  span.phase("repair.install");
+  trace.phase("install");
   // Tenant containment: a scoped deployment (epoch carries a tenant id) may
   // only ever touch its own rules on the shared switches — crash cleanup and
   // the live-side of the diff are filtered to the tenant's cookie namespace.
@@ -689,14 +616,7 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
     const std::vector<openflow::FlowEntry>& desired = tables.value()[psw];
     newTotal += static_cast<int>(desired.size());
 
-    std::vector<openflow::FlowEntry> ownedLive;
-    if (tenant != 0) {
-      for (const openflow::FlowEntry& e : live.entries()) {
-        if (openflow::cookieTenant(e.cookie) == tenant) ownedLive.push_back(e);
-      }
-    }
-    const TableDiff diff =
-        diffEntries(tenant != 0 ? ownedLive : live.entries(), desired);
+    const TableDiff diff = diffEntries(live.entries(), desired, tenant);
 
     const auto install = [&](const char* what) -> Status<Error> {
       const auto attempt = [&](int n) {
@@ -720,23 +640,13 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
     }
     for (const openflow::FlowEntry* e : diff.toAdd) {
       if (auto s = install("add"); !s) return s.error();
-      openflow::FlowEntry fresh = *e;
-      fresh.packetCount = 0;
-      fresh.byteCount = 0;
-      if (auto s = live.add(std::move(fresh)); !s) return s.error();
+      if (auto s = live.add(*e); !s) return s.error();
     }
     report.flowModsRemoved += static_cast<int>(diff.toRemove.size());
     report.flowModsAdded += static_cast<int>(diff.toAdd.size());
   }
 
-  deployment.totalFlowEntries = 0;
-  deployment.maxEntriesPerSwitch = 0;
-  for (const auto& ofs : deployment.switches) {
-    const int n = static_cast<int>(tenant != 0 ? ofs->table().countTenant(tenant)
-                                               : ofs->table().size());
-    deployment.totalFlowEntries += n;
-    deployment.maxEntriesPerSwitch = std::max(deployment.maxEntriesPerSwitch, n);
-  }
+  recountEntries(deployment, tenant);
   report.fullRedeployFlowMods = oldTotal + newTotal;
   report.repairTime =
       projection::reconfigTime(projection::TpMethod::kSDT, report.flowMods()) +
@@ -748,32 +658,32 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
                   "Control-channel resends beyond the first attempt")
         .inc(retryCounters.retries);
   }
-  span.advance(report.repairTime);  // install covers the modeled repair time
+  trace.now += report.repairTime;  // install covers the modeled repair time
 
   // Phase 4 — deadlock re-check on the degraded topology. Advisory: a
   // detour-induced CDG cycle is reported, not fatal (see RepairReport).
   if (report.degraded && options.deploy.requireDeadlockFree) {
-    span.phase("repair.deadlock_check");
+    trace.phase("deadlock_check");
     report.deadlockChecked = true;
     const routing::DeadlockReport dl = routing::analyzeDeadlock(topo, *degradedRouting);
     report.deadlockFree = dl.error.empty() && dl.deadlockFree;
   }
-  span.annotate("remapped_links", std::to_string(report.remappedLinks));
-  span.annotate("severed_links", std::to_string(report.severedLinks.size()));
-  span.annotate("flow_mods", std::to_string(report.flowMods()));
-  span.finish(report.degraded ? "degraded" : "ok");
+  trace.span.annotate("remapped_links", std::to_string(report.remappedLinks));
+  trace.span.annotate("severed_links", std::to_string(report.severedLinks.size()));
+  trace.span.annotate("flow_mods", std::to_string(report.flowMods()));
+  trace.span.finish(report.degraded ? "degraded" : "ok", trace.now);
   return report;
 }
 
 StatusOr SdtController::distributeAdmissionPolicy(
     admission::AdmissionController& target, const admission::Policy& policy) const {
-  ScopedOpSpan span(obs_, "distribute_admission_policy");
-  span.phase("admission.validate");
+  OpTrace trace(obs_, "distribute_admission_policy");
+  trace.span.phase("admission.validate", trace.now);
   if (const StatusOr valid = policy.validate(); !valid.ok()) {
-    span.finish("invalid");
+    trace.span.finish("invalid", trace.now);
     return valid;
   }
-  span.phase("admission.install");
+  trace.span.phase("admission.install", trace.now);
   target.setPolicy(policy);
   if (obs_.metrics != nullptr) {
     obs_.metrics
@@ -781,8 +691,8 @@ StatusOr SdtController::distributeAdmissionPolicy(
                   "Admission policies validated and pushed to the fabric edge")
         .inc();
   }
-  span.annotate("enabled", policy.enabled ? "true" : "false");
-  span.finish("ok");
+  trace.span.annotate("enabled", policy.enabled ? "true" : "false");
+  trace.span.finish("ok", trace.now);
   return StatusOr::okStatus();
 }
 

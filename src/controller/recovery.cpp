@@ -1,7 +1,5 @@
 #include "controller/recovery.hpp"
 
-#include <algorithm>
-
 #include "common/strings.hpp"
 #include "controller/monitor.hpp"
 #include "controller/table_diff.hpp"
@@ -122,22 +120,19 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
         plan.topology.c_str()));
   }
 
-  auto proj = projection::LinkProjector::project(*entry->second.topology,
-                                                 controller.plant(), options.projector);
-  if (!proj) return proj.error();
   // Recompile with the *journaled* salt: the tables must be byte-identical
   // to what the dead controller installed, or the diff would churn every
   // ECMP choice. No deadlock re-check — the intent passed it at deploy time,
   // and refusing here would leave the fabric in its crashed mixed state.
   DeployOptions compileOptions = options;
   compileOptions.ecmpSalt = plan.ecmpSalt;
-  auto tables = detail::compileFlowTables(*entry->second.topology, proj.value(),
-                                          controller.plant(), *entry->second.routing,
-                                          compileOptions, plan.targetEpoch);
-  if (!tables) return tables.error();
-  for (const auto& t : tables.value()) plan.totalEntries += static_cast<int>(t.size());
-  plan.projection = std::move(proj).value();
-  plan.tables = std::move(tables).value();
+  compileOptions.requireDeadlockFree = false;
+  auto intent = detail::prepareIntent(*entry->second.topology, *entry->second.routing,
+                                      controller.plant(), compileOptions, plan.targetEpoch);
+  if (!intent) return intent.error();
+  plan.projection = std::move(intent.value().projection);
+  plan.tables = std::move(intent.value().tables);
+  for (const auto& t : plan.tables) plan.totalEntries += static_cast<int>(t.size());
   return plan;
 }
 
@@ -237,15 +232,10 @@ void RecoveryRun::sendRequest(int sw) {
       // Applied atomically (one OpenFlow bundle-commit): removes first so
       // the table never holds both an entry and its replacement.
       for (const openflow::FlowEntry& e : ops.removes) ofs.table().removeExact(e);
-      for (const openflow::FlowEntry& e : ops.adds) {
-        openflow::FlowEntry fresh = e;
-        fresh.packetCount = 0;
-        fresh.byteCount = 0;
-        // A full table here means the fabric still carries two epochs'
-        // rules beyond what the removes cover; the verify round will see
-        // the shortfall and the next iteration finishes the job.
-        (void)ofs.table().add(std::move(fresh));
-      }
+      // A full table here means the fabric still carries two epochs' rules
+      // beyond what the removes cover; the verify round will see the
+      // shortfall and the next iteration finishes the job.
+      for (const openflow::FlowEntry& e : ops.adds) (void)ofs.table().add(e);
       if (ops.restamp) {
         // The tenant-scoped sweep leaves co-tenant cookies alone; the
         // whole-table sweep is the legacy single-tenant behaviour.
@@ -282,35 +272,18 @@ void RecoveryRun::completeSwitch(int sw) {
     bool anyDrift = false;
     for (int s = 0; s < numSwitches(); ++s) {
       const openflow::TableSnapshot& snap = lastSnap_[static_cast<std::size_t>(s)];
-      ConvergeOps ops;
       // A tenant-scoped recovery diffs only the slice's own entries: rules a
       // co-tenant installed on the same shared switch are invisible here, so
       // they can be neither deleted, restamped, nor counted as drift.
-      std::vector<openflow::FlowEntry> owned;
-      const std::vector<openflow::FlowEntry>* live = &snap.entries;
-      if (tenant_ != 0) {
-        owned.reserve(snap.entries.size());
-        for (const openflow::FlowEntry& e : snap.entries) {
-          if (openflow::cookieTenant(e.cookie) == tenant_) owned.push_back(e);
-        }
-        live = &owned;
-      }
-      detail::TableDiff diff =
-          detail::diffEntries(*live, plan_.tables[static_cast<std::size_t>(s)]);
+      detail::TableDiff diff = detail::diffEntries(
+          snap.entries, plan_.tables[static_cast<std::size_t>(s)], tenant_);
+      ConvergeOps ops;
       ops.removes = std::move(diff.toRemove);
       ops.adds.reserve(diff.toAdd.size());
       for (const openflow::FlowEntry* e : diff.toAdd) ops.adds.push_back(*e);
       // Rules that survive the diff but carry the losing epoch's stamp only
       // need the cookie sweep, not a delete+add round-trip.
-      std::size_t wrongEpoch = 0;
-      for (const openflow::FlowEntry& e : *live) {
-        if (openflow::cookieEpoch(e.cookie) != plan_.targetEpoch) ++wrongEpoch;
-      }
-      std::size_t wrongInRemoves = 0;
-      for (const openflow::FlowEntry& e : ops.removes) {
-        if (openflow::cookieEpoch(e.cookie) != plan_.targetEpoch) ++wrongInRemoves;
-      }
-      ops.restampCount = static_cast<int>(wrongEpoch - wrongInRemoves);
+      ops.restampCount = diff.restamps;
       ops.restamp = ops.restampCount > 0;
       if (const std::vector<int>* ports = flipPortsFor(s)) {
         ops.flipEpoch = false;
@@ -425,14 +398,7 @@ void RecoveryRun::finishSuccess() {
   deployment_.topology = plan_.topology;
   deployment_.routing = plan_.routing;
   deployment_.ecmpSalt = plan_.ecmpSalt;
-  deployment_.totalFlowEntries = 0;
-  deployment_.maxEntriesPerSwitch = 0;
-  for (const auto& ofs : deployment_.switches) {
-    const int n = static_cast<int>(tenant_ != 0 ? ofs->table().countTenant(tenant_)
-                                                : ofs->table().size());
-    deployment_.totalFlowEntries += n;
-    deployment_.maxEntriesPerSwitch = std::max(deployment_.maxEntriesPerSwitch, n);
-  }
+  detail::recountEntries(deployment_, tenant_);
   deployment_.reconfigTime =
       projection::reconfigTime(projection::TpMethod::kSDT, report_.flowMods);
 

@@ -58,35 +58,22 @@ void SwitchRounds::onTimeout(int sw, int n, std::uint64_t gen) {
   });
 }
 
-void SwitchRounds::traceStart(Attributes attrs) {
-  if (options_.tracer == nullptr) return;
-  spanRoot_ = options_.tracer->begin(options_.op, sim_->now());
-  for (const auto& [key, value] : attrs) options_.tracer->annotate(spanRoot_, key, value);
+void SwitchRounds::traceStart(const Attributes& attrs) {
+  span_ = obs::OpSpan(options_.tracer, options_.op, sim_->now());
+  for (const auto& [key, value] : attrs) span_.annotate(key, value);
 }
 
 void SwitchRounds::tracePhase(const char* name) {
   if (options_.tracer == nullptr) return;
-  const TimeNs now = sim_->now();
-  if (spanPhase_ != obs::kNoSpan) options_.tracer->end(spanPhase_, now);
-  spanPhase_ = options_.tracer->begin(std::string(options_.op) + "." + name, now,
-                                      spanRoot_);
+  span_.phase(std::string(options_.op) + "." + name, sim_->now());
 }
 
 void SwitchRounds::traceFinish(const char* outcome, const std::string& failure,
                                Attributes attrs) {
   if (options_.tracer == nullptr) return;
-  const TimeNs now = sim_->now();
-  if (spanPhase_ != obs::kNoSpan) {
-    options_.tracer->end(spanPhase_, now);
-    spanPhase_ = obs::kNoSpan;
-  }
-  if (spanRoot_ == obs::kNoSpan) return;
-  options_.tracer->annotate(spanRoot_, "outcome", outcome);
-  for (const auto& [key, value] : attrs) options_.tracer->annotate(spanRoot_, key, value);
-  options_.tracer->annotate(spanRoot_, "retries", std::to_string(retriesTotal_));
-  if (!failure.empty()) options_.tracer->annotate(spanRoot_, "failure", failure);
-  options_.tracer->end(spanRoot_, now);
-  spanRoot_ = obs::kNoSpan;
+  attrs.emplace_back("retries", std::to_string(retriesTotal_));
+  if (!failure.empty()) attrs.emplace_back("failure", failure);
+  span_.finish(outcome, sim_->now(), attrs);
 }
 
 }  // namespace sdt::controller

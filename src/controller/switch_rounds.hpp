@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,7 +63,7 @@ class SwitchRounds {
   using SendFn = std::function<void(int sw)>;
   /// `sw` made `attempts` attempts, the round's cap, without completing.
   using ExhaustedFn = std::function<void(int sw, int attempts)>;
-  using Attributes = std::initializer_list<std::pair<const char*, std::string>>;
+  using Attributes = obs::OpSpan::Attributes;
 
   struct Options {
     const char* op = "";      ///< root span name and the metric's op label
@@ -113,7 +112,7 @@ class SwitchRounds {
   }
 
   /// Open the root span `op` and annotate it (no-op without a tracer).
-  void traceStart(Attributes attrs);
+  void traceStart(const Attributes& attrs);
   /// Close the open phase span and open `op.name` under the root.
   void tracePhase(const char* name);
   /// Close both spans. The root gets "outcome", then `attrs`, then
@@ -138,8 +137,7 @@ class SwitchRounds {
   std::vector<Rng> backoffRng_;  ///< per switch, deterministic jitter
   int retriesTotal_ = 0;
   std::vector<int> retries_;
-  obs::SpanId spanRoot_ = obs::kNoSpan;
-  obs::SpanId spanPhase_ = obs::kNoSpan;
+  obs::OpSpan span_;
 };
 
 }  // namespace sdt::controller

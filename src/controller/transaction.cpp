@@ -1,10 +1,9 @@
 #include "controller/transaction.hpp"
 
-#include <algorithm>
-
 #include "common/strings.hpp"
 #include "controller/journal.hpp"
 #include "controller/monitor.hpp"
+#include "controller/table_diff.hpp"
 
 namespace sdt::controller {
 
@@ -402,24 +401,11 @@ void ReconfigTransaction::finish() {
   if (report_.committed) {
     deployment_->projection = plan_.projection;
     deployment_->epoch = plan_.toEpoch;
-    deployment_->totalFlowEntries = 0;
-    deployment_->maxEntriesPerSwitch = 0;
-    if (plan_.scope.empty()) {
-      for (const auto& ofs : deployment_->switches) {
-        const int n = static_cast<int>(ofs->table().size());
-        deployment_->totalFlowEntries += n;
-        deployment_->maxEntriesPerSwitch = std::max(deployment_->maxEntriesPerSwitch, n);
-      }
-    } else {
-      // Scoped transaction over shared switches: count only the slice's own
-      // epoch so co-tenant rules never inflate this deployment's totals.
-      for (const int sw : scope_) {
-        const openflow::Switch& ofs = *deployment_->switches[static_cast<std::size_t>(sw)];
-        const int n = static_cast<int>(ofs.table().countEpoch(plan_.toEpoch));
-        deployment_->totalFlowEntries += n;
-        deployment_->maxEntriesPerSwitch = std::max(deployment_->maxEntriesPerSwitch, n);
-      }
-    }
+    // A scoped transaction over shared switches counts only the slice's own
+    // epoch (none off-scope), so co-tenant rules never inflate its totals.
+    detail::recountEntries(*deployment_, [this](const openflow::FlowTable& t) {
+      return plan_.scope.empty() ? t.size() : t.countEpoch(plan_.toEpoch);
+    });
   }
   if (options_.monitor != nullptr) {
     for (const int sw : scope_) options_.monitor->unguardSwitch(sw);

@@ -36,4 +36,31 @@ std::vector<Span> Tracer::spans() const {
   return spans_;
 }
 
+OpSpan::OpSpan(Tracer* tracer, const std::string& name, TimeNs at) : tracer_(tracer) {
+  if (tracer_ != nullptr) root_ = tracer_->begin(name, at);
+}
+
+void OpSpan::annotate(const std::string& key, const std::string& value) {
+  if (tracer_ != nullptr && root_ != kNoSpan) tracer_->annotate(root_, key, value);
+}
+
+void OpSpan::phase(const std::string& name, TimeNs at) {
+  if (tracer_ == nullptr) return;
+  if (phase_ != kNoSpan) tracer_->end(phase_, at);
+  phase_ = tracer_->begin(name, at, root_);
+}
+
+void OpSpan::finish(const char* outcome, TimeNs at, const Attributes& attrs) {
+  if (tracer_ == nullptr) return;
+  if (phase_ != kNoSpan) {
+    tracer_->end(phase_, at);
+    phase_ = kNoSpan;
+  }
+  if (root_ == kNoSpan) return;
+  tracer_->annotate(root_, "outcome", outcome);
+  for (const auto& [key, value] : attrs) tracer_->annotate(root_, key, value);
+  tracer_->end(root_, at);
+  root_ = kNoSpan;
+}
+
 }  // namespace sdt::obs

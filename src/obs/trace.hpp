@@ -65,4 +65,29 @@ class Tracer {
   std::vector<Span> spans_;
 };
 
+/// One operation's trace: a root span with at most one open phase child.
+/// Opening a phase closes the one before it; finish() closes both. The
+/// caller passes every timestamp from its own clock (the simulator's, or a
+/// controller op's modeled time). Without a tracer every call is a no-op.
+class OpSpan {
+ public:
+  using Attributes = std::vector<std::pair<const char*, std::string>>;
+
+  OpSpan() = default;
+  OpSpan(Tracer* tracer, const std::string& name, TimeNs at);
+
+  /// Annotate the root (no-op once finished).
+  void annotate(const std::string& key, const std::string& value);
+  /// Close the open phase and open `name` under the root.
+  void phase(const std::string& name, TimeNs at);
+  /// Close the open phase, annotate the root with "outcome" and then
+  /// `attrs` in order, and close it. No-op once finished.
+  void finish(const char* outcome, TimeNs at, const Attributes& attrs = {});
+
+ private:
+  Tracer* tracer_ = nullptr;
+  SpanId root_ = kNoSpan;
+  SpanId phase_ = kNoSpan;
+};
+
 }  // namespace sdt::obs

@@ -10,6 +10,13 @@
 
 namespace sdt::projection {
 
+namespace {
+// Spare capacity planPlant wires beyond the topology set's demand.
+constexpr int kSpareSelfLinks = 2;   // per switch
+constexpr int kSpareInterLinks = 2;  // per switch pair
+constexpr int kSpareHostPorts = 1;   // per switch
+}  // namespace
+
 PhysicalSwitchSpec openflow64x100G() {
   PhysicalSwitchSpec s;
   s.model = "openflow-64x100G";
@@ -208,6 +215,33 @@ Status<Error> addOpticalFlex(Plant& plant, int pairsPerSwitch, OpticalSwitchSpec
   return plant.validate();
 }
 
+Result<PartitionDemand> partitionDemand(const topo::Topology& topo,
+                                        partition::PartitionOptions options) {
+  options.parts = std::min(options.parts, std::max(1, topo.numSwitches()));
+  std::vector<int> assignment(static_cast<std::size_t>(topo.numSwitches()), 0);
+  if (options.parts > 1) {
+    auto part = partition::partitionGraph(topo.switchGraph(), options);
+    if (!part) return part.error();
+    assignment = std::move(part.value().assignment);
+  }
+  PartitionDemand demand;
+  demand.selfLinks.assign(static_cast<std::size_t>(options.parts), 0);
+  demand.hosts.assign(static_cast<std::size_t>(options.parts), 0);
+  for (const topo::Link& link : topo.links()) {
+    const int pa = assignment[link.a.sw];
+    const int pb = assignment[link.b.sw];
+    if (pa == pb) {
+      ++demand.selfLinks[pa];
+    } else {
+      ++demand.interLinks[std::minmax(pa, pb)];
+    }
+  }
+  for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
+    ++demand.hosts[assignment[topo.hostSwitch(h)]];
+  }
+  return demand;
+}
+
 Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
                         const PlanOptions& options) {
   if (topologies.empty()) return makeError("planPlant needs at least one topology");
@@ -217,41 +251,19 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
   int maxHosts = 0;
   std::map<std::pair<int, int>, int> interNeeded;  // per concrete switch pair
   for (const topo::Topology* t : topologies) {
-    const int parts = std::min(options.numSwitches, std::max(1, t->numSwitches()));
-    std::vector<int> assignment(static_cast<std::size_t>(t->numSwitches()), 0);
-    if (parts > 1) {
-      partition::PartitionOptions popt;
-      popt.parts = parts;
-      popt.seed = options.partitionSeed;
-      popt.method = options.partitionMethod;
-      auto part = partition::partitionGraph(t->switchGraph(), popt);
-      if (!part) {
-        return makeError(strFormat("planPlant: cannot partition '%s': %s",
-                                   t->name().c_str(), part.error().message.c_str()));
-      }
-      assignment = std::move(part.value().assignment);
+    partition::PartitionOptions popt;
+    popt.parts = options.numSwitches;
+    auto demand = partitionDemand(*t, popt);
+    if (!demand) {
+      return makeError(strFormat("planPlant: cannot partition '%s': %s",
+                                 t->name().c_str(), demand.error().message.c_str()));
     }
-    std::vector<int> selfPer(static_cast<std::size_t>(parts), 0);
-    std::map<std::pair<int, int>, int> interPer;
-    for (const topo::Link& link : t->links()) {
-      const int pa = assignment[link.a.sw];
-      const int pb = assignment[link.b.sw];
-      if (pa == pb) {
-        ++selfPer[pa];
-      } else {
-        ++interPer[std::minmax(pa, pb)];
-      }
-    }
-    std::vector<int> hostsPer(static_cast<std::size_t>(parts), 0);
-    for (topo::HostId h = 0; h < t->numHosts(); ++h) {
-      ++hostsPer[assignment[t->hostSwitch(h)]];
-    }
-    for (const int s : selfPer) maxSelf = std::max(maxSelf, s);
-    for (const auto& [pair, count] : interPer) {
+    for (const int s : demand.value().selfLinks) maxSelf = std::max(maxSelf, s);
+    for (const auto& [pair, count] : demand.value().interLinks) {
       int& need = interNeeded[pair];
       need = std::max(need, count);
     }
-    for (const int h : hostsPer) maxHosts = std::max(maxHosts, h);
+    for (const int h : demand.value().hosts) maxHosts = std::max(maxHosts, h);
   }
 
   // Wire the plant with *exactly* the per-pair inter-switch reservations the
@@ -266,7 +278,7 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
     return PhysPort{sw, nextPort[sw]++};
   };
   for (auto& [pair, need] : interNeeded) {
-    if (options.numSwitches > 1) need += options.slackInterLinks;
+    if (options.numSwitches > 1) need += kSpareInterLinks;
     for (int k = 0; k < need; ++k) {
       const auto a = allocPort(pair.first);
       const auto b = allocPort(pair.second);
@@ -278,7 +290,7 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
       plant.interLinks.push_back(PhysLink{*a, *b});
     }
   }
-  const int hostPorts = maxHosts + options.slackHostPorts;
+  const int hostPorts = maxHosts + kSpareHostPorts;
   for (int sw = 0; sw < options.numSwitches; ++sw) {
     for (int h = 0; h < hostPorts; ++h) {
       const auto p = allocPort(sw);
@@ -299,12 +311,12 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
     }
     minSelf = std::min(minSelf, count);
   }
-  if (minSelf < maxSelf + options.slackSelfLinks) {
+  if (minSelf < maxSelf + kSpareSelfLinks) {
     return makeError(strFormat(
         "planPlant: '%s' x%d leaves only %d self-links per switch but the "
         "topology set needs %d (+%d slack); use bigger or more switches",
         options.spec.model.c_str(), options.numSwitches, minSelf, maxSelf,
-        options.slackSelfLinks));
+        kSpareSelfLinks));
   }
   if (auto s = plant.validate(); !s) return s.error();
   return plant;

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -127,24 +129,30 @@ struct PlantConfig {
 /// port pair (2k, 2k+1) becomes a self-link.
 Result<Plant> buildPlant(const PlantConfig& config);
 
+/// What one topology asks of the plant once split over its switches.
+struct PartitionDemand {
+  std::vector<int> selfLinks;                     ///< per part
+  std::map<std::pair<int, int>, int> interLinks;  ///< per (lower, higher) part pair
+  std::vector<int> hosts;                         ///< per part
+};
+
+/// Partition `topo` with `options`, over at most as many parts as it has
+/// switches (no partitioning at one part), and count its self-links, hosts
+/// and inter-part links per part.
+Result<PartitionDemand> partitionDemand(const topo::Topology& topo,
+                                        partition::PartitionOptions options);
+
 /// Plan a plant for a *set* of topologies (paper §IV-B: "we generally divide
 /// the topologies in advance ... the reserved inter-switch links usually
 /// come from the maximum inter-switch links among all topologies").
-/// Partitions every topology over `numSwitches`, takes the per-switch
-/// self-link / host-port and per-pair inter-link maxima plus `slack`, and
-/// builds the corresponding plant. Fails when the switch model simply has
-/// too few ports.
+/// Partitions every topology over `numSwitches` (multilevel, seed 1), takes
+/// the per-switch self-link / host-port and per-pair inter-link maxima plus
+/// a fixed slack (2 self-links per switch, 2 inter-switch links per pair,
+/// 1 host port per switch), and builds the corresponding plant. Fails when
+/// the switch model simply has too few ports.
 struct PlanOptions {
   int numSwitches = 3;
   PhysicalSwitchSpec spec = openflow64x100G();
-  int slackSelfLinks = 2;    ///< spare self-links per switch
-  int slackInterLinks = 2;   ///< spare inter-switch links per pair
-  int slackHostPorts = 1;    ///< spare host ports per switch
-  std::uint64_t partitionSeed = 1;
-  /// How each topology is split over the switches: the in-memory multilevel
-  /// scheme by default, or a streaming heuristic (partition/streaming.hpp)
-  /// for warehouse-scale topologies.
-  partition::PartitionMethod partitionMethod = partition::PartitionMethod::kMultilevel;
 };
 
 Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,

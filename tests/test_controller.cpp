@@ -4,6 +4,7 @@
 
 #include "controller/config.hpp"
 #include "controller/controller.hpp"
+#include "controller/table_diff.hpp"
 #include "routing/shortest_path.hpp"
 #include "topo/generators.hpp"
 
@@ -220,6 +221,40 @@ TEST(Controller, EntriesScaleIsSane) {
   ASSERT_TRUE(dep.ok()) << dep.error().message;
   EXPECT_GT(dep.value().maxEntriesPerSwitch, 100);
   EXPECT_LT(dep.value().maxEntriesPerSwitch, 5000);
+}
+
+TEST(Controller, DiffSkipsCoTenantRulesAndCountsRestamps) {
+  // Tenant 3 on a shared switch moves from its epoch 1 to epoch 2: rule 1
+  // survives (only its stamp changes), rule 2 goes, rule 4 is new and rule 5
+  // is already at epoch 2. Rule 3 belongs to tenant 5.
+  const std::uint32_t was = openflow::makeScopedEpoch(3, 1);
+  const std::uint32_t next = openflow::makeScopedEpoch(3, 2);
+  const auto rule = [](std::uint32_t epoch, std::uint32_t tag) {
+    openflow::FlowEntry e;
+    e.priority = 100;
+    e.match.dstAddr = tag;
+    e.cookie = openflow::makeCookie(epoch, tag);
+    e.actions = {openflow::Action::output(static_cast<int>(tag))};
+    return e;
+  };
+  const std::vector<openflow::FlowEntry> live = {
+      rule(was, 1), rule(was, 2), rule(openflow::makeScopedEpoch(5, 1), 3), rule(next, 5)};
+  const std::vector<openflow::FlowEntry> desired = {rule(next, 1), rule(next, 4),
+                                                    rule(next, 5)};
+
+  const detail::TableDiff scoped = detail::diffEntries(live, desired, 3);
+  ASSERT_EQ(scoped.toRemove.size(), 1u);
+  EXPECT_EQ(openflow::cookieTag(scoped.toRemove[0].cookie), 2u);
+  ASSERT_EQ(scoped.toAdd.size(), 1u);
+  EXPECT_EQ(scoped.toAdd[0], &desired[1]);
+  EXPECT_EQ(scoped.restamps, 1);  // rule 1; the removed rule 2 is not swept
+
+  // Unscoped, tenant 5's rule is one more rule to delete.
+  const detail::TableDiff whole = detail::diffEntries(live, desired);
+  ASSERT_EQ(whole.toRemove.size(), 2u);
+  EXPECT_EQ(openflow::cookieTag(whole.toRemove[1].cookie), 3u);
+  EXPECT_EQ(whole.toAdd.size(), 1u);
+  EXPECT_EQ(whole.restamps, 1);
 }
 
 }  // namespace

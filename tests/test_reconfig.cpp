@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -269,6 +270,30 @@ TEST(Reconfig, PlanUpdateAbortsCleanlyWhenBothVersionsExceedCapacity) {
   // Nothing touched: still epoch 1, still the full line table.
   EXPECT_EQ(dep.epoch, 1u);
   expectPureEpoch(dep, 1);
+}
+
+TEST(Reconfig, PlanUpdateRefusesAHostTheLiveDeploymentLacks) {
+  // ring(6) plus a host on switch 2 (host 6): the live line(6) deployment
+  // has no physical port for it, so the plan must refuse and name it rather
+  // than read past the live projection's host table.
+  const topo::Topology line = topo::makeLine(6);
+  topo::Topology ring = topo::makeRing(6);
+  const topo::HostId added = ring.attachHost(2);
+  routing::ShortestPathRouting rLine(line);
+  routing::ShortestPathRouting rRing(ring);
+  auto plantR = projection::planPlant({&line, &ring}, {.numSwitches = 2});
+  ASSERT_TRUE(plantR.ok());
+  controller::SdtController ctl(std::move(plantR).value());
+  auto depR = ctl.deploy(line, rLine);
+  ASSERT_TRUE(depR.ok()) << depR.error().message;
+
+  controller::DeployOptions opt;
+  opt.requireDeadlockFree = false;
+  auto planR = ctl.planUpdate(depR.value(), ring, rRing, opt);
+  ASSERT_FALSE(planR.ok());
+  EXPECT_NE(planR.error().message.find("would add host " + std::to_string(added)),
+            std::string::npos)
+      << planR.error().message;
 }
 
 /// A scoped transaction on one switch of a large plant: switch `sw` holds
