@@ -55,7 +55,7 @@ struct DeployOptions {
   /// drain, GC, restamp — can never select another tenant's rules. 0 is the
   /// legacy whole-plant namespace.
   std::uint16_t tenant = 0;
-  projection::LinkProjectorOptions projector;
+  projection::LinkProjectorOptions projector{};
 };
 
 /// A deployed (projected + programmed) topology, ready for sim::buildProjectedNetwork.

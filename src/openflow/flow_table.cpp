@@ -44,10 +44,11 @@ Status<Error> FlowTable::add(FlowEntry entry) {
   if (full()) {
     return makeError(strFormat("flow table full (%zu entries)", capacity_));
   }
-  // Insert after all entries of >= priority, preserving stable order.
-  const auto pos = std::find_if(entries_.begin(), entries_.end(), [&](const FlowEntry& e) {
-    return e.priority < entry.priority;
-  });
+  // Insert after all entries of >= priority, preserving stable order. The
+  // table is sorted by descending priority, so that spot is an upper bound.
+  const auto pos = std::upper_bound(
+      entries_.begin(), entries_.end(), entry.priority,
+      [](int priority, const FlowEntry& e) { return priority > e.priority; });
   entries_.insert(pos, std::move(entry));
   indexDirty_ = true;
   ++addsTotal_;

@@ -1,8 +1,9 @@
 #include "routing/deadlock.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
-#include <set>
+#include <unordered_map>
 
 #include "common/strings.hpp"
 
@@ -29,7 +30,31 @@ struct State {
   topo::SwitchId sw;
   topo::HostId dst;
   int vc;
-  auto operator<=>(const State&) const = default;
+  bool operator==(const State&) const = default;
+};
+
+struct StateHash {
+  std::size_t operator()(const State& s) const {
+    std::uint64_t h = static_cast<std::uint32_t>(s.sw);
+    h = h * 0x9E3779B97F4A7C15ULL ^ static_cast<std::uint32_t>(s.dst);
+    h = h * 0x9E3779B97F4A7C15ULL ^ static_cast<std::uint32_t>(s.vc);
+    return static_cast<std::size_t>(h ^ h >> 29);
+  }
+};
+
+/// One routing state. nextHop is pure, so the state is routed on its first
+/// visit and every later visit (one per in-channel) replays the same hops.
+struct StateInfo {
+  State state;
+  int firstHop = -1;  ///< into the hop pool; -1 until routed
+  int numHops = 0;
+  std::vector<int> inChannels{};  ///< visited in-channels (-1: injection)
+};
+
+/// Errors met while routing a state (rare, so kept apart from StateInfo).
+struct RouteErrors {
+  std::string held;       ///< first error of any kind, in probe order
+  std::string injection;  ///< first unused-port error
 };
 
 }  // namespace
@@ -39,9 +64,64 @@ DeadlockReport analyzeDeadlock(const topo::Topology& topo,
                                int hashProbes) {
   DeadlockReport report;
   ChannelIndex index;
-  std::set<std::pair<int, int>> edges;        // channel -> channel
-  std::set<std::pair<State, int>> visited;    // (state, inChannel)
-  std::vector<std::pair<State, int>> stack;   // worklist
+  std::deque<StateInfo> states;  // stable addresses while routing adds states
+  std::unordered_map<State, int, StateHash> stateIds;
+  std::map<int, RouteErrors> errors;
+  // (out-channel, next state id or -1 at the destination switch) per routed
+  // state, distinct, in the order of their last probe: a probe's earlier
+  // duplicate would only leave a worklist entry that is visited when popped.
+  std::vector<std::pair<int, int>> hopPool;
+  std::vector<std::pair<int, int>> probeHops;
+  std::vector<std::vector<int>> adj;       // channel -> distinct channels
+  std::vector<std::pair<int, int>> stack;  // worklist of (state id, inChannel)
+
+  const auto stateId = [&](State st) {
+    const auto [it, inserted] = stateIds.try_emplace(st, static_cast<int>(states.size()));
+    if (inserted) states.push_back(StateInfo{st});
+    return it->second;
+  };
+
+  // Probes every algorithm and flow hash at one state. Channel ids are
+  // assigned here, in probe order, on the state's first visit.
+  const auto route = [&](StateInfo& info, int id) {
+    const State st = info.state;
+    RouteErrors err;
+    probeHops.clear();
+    for (const RoutingAlgorithm* algo : algos) {
+      for (int probe = 0; probe < hashProbes && err.injection.empty(); ++probe) {
+        auto hop = algo->nextHop(st.sw, st.dst, st.vc, static_cast<std::uint64_t>(probe));
+        if (!hop) {
+          if (err.held.empty()) err.held = hop.error().message;
+          continue;
+        }
+        const topo::SwitchPort out{st.sw, hop.value().outPort};
+        const auto li = topo.linkAt(out);
+        if (!li) {
+          // Ends the analysis on any visit, so probing stops here.
+          err.injection = strFormat("hop via unused port (switch %d port %d)", st.sw,
+                                    hop.value().outPort);
+          if (err.held.empty()) err.held = err.injection;
+          break;
+        }
+        const topo::Link& link = topo.link(*li);
+        const int dir = link.a == out ? 0 : 1;
+        const int outChannel = index.idOf(Channel{*li, dir, hop.value().vc});
+        const topo::SwitchPort peer = link.peerOf(st.sw);
+        // Ejection at the destination switch holds no further channel.
+        const int next = peer.sw == topo.hostSwitch(st.dst)
+                             ? -1
+                             : stateId(State{peer.sw, st.dst, hop.value().vc});
+        probeHops.emplace_back(outChannel, next);
+      }
+    }
+    info.firstHop = static_cast<int>(hopPool.size());
+    for (auto it = probeHops.begin(); it != probeHops.end(); ++it) {
+      if (std::find(it + 1, probeHops.end(), *it) == probeHops.end()) hopPool.push_back(*it);
+    }
+    info.numHops = static_cast<int>(hopPool.size()) - info.firstHop;
+    if (!err.held.empty()) errors.emplace(id, std::move(err));
+    adj.resize(index.channels().size());
+  };
 
   // Injection: every (source switch with a host, destination host) pair,
   // entering the fabric with VC0 and no held channel (-1).
@@ -50,52 +130,52 @@ DeadlockReport analyzeDeadlock(const topo::Topology& topo,
     for (topo::HostId src = 0; src < topo.numHosts(); ++src) {
       const topo::SwitchId sw = topo.hostSwitch(src);
       if (sw == target) continue;
-      stack.push_back({State{sw, dst, 0}, -1});
+      stack.emplace_back(stateId(State{sw, dst, 0}), -1);
     }
   }
 
   while (!stack.empty()) {
-    const auto [state, inChannel] = stack.back();
+    const auto [id, inChannel] = stack.back();
     stack.pop_back();
-    if (!visited.insert({state, inChannel}).second) continue;
+    StateInfo& info = states[id];
+    if (std::find(info.inChannels.begin(), info.inChannels.end(), inChannel) !=
+        info.inChannels.end()) {
+      continue;
+    }
+    info.inChannels.push_back(inChannel);
+    if (info.firstHop < 0) route(info, id);
 
-    for (const RoutingAlgorithm* algo : algos) {
-      for (int probe = 0; probe < hashProbes; ++probe) {
-        auto hop = algo->nextHop(state.sw, state.dst,
-                                 state.vc, static_cast<std::uint64_t>(probe));
-        if (!hop) {
-          // An unroutable *injection* state means the pair is unreachable
-          // (a degraded topology severed every path); it contributes no
-          // channel dependencies, so skip it. Failing mid-path — while
-          // holding a channel — is a genuine routing dead end.
-          if (inChannel < 0) continue;
-          report.error = hop.error().message;
-          return report;
-        }
-        const topo::SwitchPort out{state.sw, hop.value().outPort};
-        const auto li = topo.linkAt(out);
-        if (!li) {
-          report.error = strFormat("hop via unused port (switch %d port %d)", state.sw,
-                                   hop.value().outPort);
-          return report;
-        }
-        const topo::Link& link = topo.link(*li);
-        const int dir = link.a == out ? 0 : 1;
-        const int outChannel = index.idOf(Channel{*li, dir, hop.value().vc});
-        if (inChannel >= 0) edges.insert({inChannel, outChannel});
-        const topo::SwitchPort peer = link.peerOf(state.sw);
-        if (peer.sw != topo.hostSwitch(state.dst)) {
-          stack.push_back({State{peer.sw, state.dst, hop.value().vc}, outChannel});
-        }
-        // Ejection at the destination switch holds no further channel.
+    // An unroutable *injection* state means the pair is unreachable (a
+    // degraded topology severed every path); it contributes no channel
+    // dependencies, so its routing errors are skipped. Failing mid-path —
+    // while holding a channel — is a genuine routing dead end.
+    if (const auto e = errors.find(id); e != errors.end()) {
+      const std::string& error = inChannel < 0 ? e->second.injection : e->second.held;
+      if (!error.empty()) {
+        report.error = error;
+        return report;
       }
+    }
+    for (int h = info.firstHop; h < info.firstHop + info.numHops; ++h) {
+      const auto [outChannel, next] = hopPool[h];
+      if (inChannel >= 0) {
+        std::vector<int>& out = adj[inChannel];
+        if (std::find(out.begin(), out.end(), outChannel) == out.end()) {
+          out.push_back(outChannel);
+        }
+      }
+      if (next >= 0) stack.emplace_back(next, outChannel);
     }
   }
 
-  // Cycle detection (iterative DFS, three colors).
+  int edges = 0;
+  for (std::vector<int>& out : adj) {
+    std::sort(out.begin(), out.end());
+    edges += static_cast<int>(out.size());
+  }
+
+  // Cycle detection (iterative DFS, three colors) over the sorted lists.
   const int n = static_cast<int>(index.channels().size());
-  std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
-  for (const auto& [from, to] : edges) adj[from].push_back(to);
 
   std::vector<int> color(static_cast<std::size_t>(n), 0);  // 0 white 1 gray 2 black
   std::vector<int> parent(static_cast<std::size_t>(n), -1);
@@ -121,7 +201,7 @@ DeadlockReport analyzeDeadlock(const topo::Topology& topo,
           std::reverse(cycle.begin(), cycle.end());
           report.cycle = std::move(cycle);
           report.channelsUsed = n;
-          report.dependencyEdges = static_cast<int>(edges.size());
+          report.dependencyEdges = edges;
           return report;
         }
       } else {
@@ -132,7 +212,7 @@ DeadlockReport analyzeDeadlock(const topo::Topology& topo,
   }
   report.deadlockFree = true;
   report.channelsUsed = n;
-  report.dependencyEdges = static_cast<int>(edges.size());
+  report.dependencyEdges = edges;
   return report;
 }
 

@@ -26,6 +26,13 @@ FatTreeRouting::FatTreeRouting(const topo::Topology& topo, int k)
     portTo_[link.a.sw].emplace_back(link.b.sw, link.a.port);
     portTo_[link.b.sw].emplace_back(link.a.sw, link.b.port);
   }
+  upPorts_.resize(portTo_.size());
+  for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
+    for (const auto& [peer, port] : portTo_[sw]) {
+      if (levelOf(peer) == levelOf(sw) - 1) upPorts_[sw].push_back(port);
+    }
+    std::sort(upPorts_[sw].begin(), upPorts_[sw].end());
+  }
 }
 
 Result<std::unique_ptr<FatTreeRouting>> FatTreeRouting::create(const topo::Topology& topo) {
@@ -60,24 +67,15 @@ Result<topo::PortId> FatTreeRouting::portToward(topo::SwitchId sw,
   return makeError(strFormat("fattree: no link %d -> %d", sw, neighbor));
 }
 
-std::vector<topo::PortId> FatTreeRouting::upCandidates(topo::SwitchId sw,
-                                                       topo::HostId dst) const {
-  std::vector<topo::PortId> out;
+std::span<const topo::PortId> FatTreeRouting::upCandidates(topo::SwitchId sw,
+                                                           topo::HostId dst) const {
+  // An edge switch goes up unless dst is local, which nextHop never asks
+  // about; an aggregation switch goes up only to leave its pod.
   const int level = levelOf(sw);
-  const topo::SwitchId target = topo_->hostSwitch(dst);
-  if (level == 2) {
-    // Up to any aggregation switch of this pod — unless dst is local,
-    // which nextHop never asks about.
-    for (const auto& [peer, port] : portTo_[sw]) {
-      if (levelOf(peer) == 1) out.push_back(port);
-    }
-  } else if (level == 1 && podOf(sw) != podOf(target)) {
-    for (const auto& [peer, port] : portTo_[sw]) {
-      if (levelOf(peer) == 0) out.push_back(port);
-    }
+  if (level == 2 || (level == 1 && podOf(sw) != podOf(topo_->hostSwitch(dst)))) {
+    return upPorts_[sw];
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return {};
 }
 
 Result<Hop> FatTreeRouting::nextHop(topo::SwitchId sw, topo::HostId dst, int vc,

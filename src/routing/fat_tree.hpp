@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "routing/routing.hpp"
@@ -32,10 +33,10 @@ class FatTreeRouting : public RoutingAlgorithm {
   [[nodiscard]] int levelOf(topo::SwitchId sw) const;
   [[nodiscard]] int podOf(topo::SwitchId sw) const;
 
-  /// All up-ports usable at `sw` toward `dst` (ECMP set; used by the
-  /// deadlock analyzer to cover every branch).
-  [[nodiscard]] std::vector<topo::PortId> upCandidates(topo::SwitchId sw,
-                                                       topo::HostId dst) const;
+  /// All up-ports usable at `sw` toward `dst`, ascending (the ECMP set the
+  /// flow hash indexes; empty where the path turns down).
+  [[nodiscard]] std::span<const topo::PortId> upCandidates(topo::SwitchId sw,
+                                                           topo::HostId dst) const;
 
  private:
   FatTreeRouting(const topo::Topology& topo, int k);
@@ -45,6 +46,8 @@ class FatTreeRouting : public RoutingAlgorithm {
   int k_;
   /// portTo_[sw] maps neighbor switch -> local out port (built once).
   std::vector<std::vector<std::pair<topo::SwitchId, topo::PortId>>> portTo_;
+  /// upPorts_[sw]: sorted ports toward the level above (built once).
+  std::vector<std::vector<topo::PortId>> upPorts_;
 
   [[nodiscard]] Result<topo::PortId> portToward(topo::SwitchId sw,
                                                 topo::SwitchId neighbor) const;

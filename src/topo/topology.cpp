@@ -11,26 +11,43 @@ namespace sdt::topo {
 SwitchId Topology::addSwitches(int count) {
   assert(count >= 0);
   const SwitchId first = numSwitches();
-  portsUsed_.resize(portsUsed_.size() + static_cast<std::size_t>(count), 0);
+  ports_.resize(ports_.size() + static_cast<std::size_t>(count));
   return first;
+}
+
+PortId Topology::allocPort(SwitchId sw, PortOwner owner) {
+  ports_[sw].push_back(owner);
+  return static_cast<PortId>(ports_[sw].size()) - 1;
+}
+
+std::span<const Topology::PortOwner> Topology::portsOf(SwitchId sw) const {
+  if (sw < 0 || sw >= numSwitches()) return {};
+  return ports_[sw];
+}
+
+const Topology::PortOwner* Topology::ownerOf(SwitchPort sp) const {
+  const std::span<const PortOwner> ports = portsOf(sp.sw);
+  if (sp.port < 0 || sp.port >= static_cast<PortId>(ports.size())) return nullptr;
+  return &ports[sp.port];
 }
 
 int Topology::connect(SwitchId a, SwitchId b, Gbps speed) {
   assert(a >= 0 && a < numSwitches());
   assert(b >= 0 && b < numSwitches());
+  const PortOwner owner{numLinks(), -1};
   Link link;
-  link.a = SwitchPort{a, allocPort(a)};
-  link.b = SwitchPort{b, allocPort(b)};
+  link.a = SwitchPort{a, allocPort(a, owner)};
+  link.b = SwitchPort{b, allocPort(b, owner)};
   link.speed = speed;
   links_.push_back(link);
-  return static_cast<int>(links_.size()) - 1;
+  return owner.link;
 }
 
 HostId Topology::attachHost(SwitchId sw, Gbps speed) {
   assert(sw >= 0 && sw < numSwitches());
   HostLink hl;
   hl.host = numHosts();
-  hl.attach = SwitchPort{sw, allocPort(sw)};
+  hl.attach = SwitchPort{sw, allocPort(sw, PortOwner{-1, hl.host})};
   hl.speed = speed;
   hostLinks_.push_back(hl);
   return hl.host;
@@ -38,25 +55,20 @@ HostId Topology::attachHost(SwitchId sw, Gbps speed) {
 
 int Topology::fabricRadix(SwitchId sw) const {
   int count = 0;
-  for (const Link& l : links_) {
-    if (l.a.sw == sw) ++count;
-    if (l.b.sw == sw) ++count;
-  }
+  for (const PortOwner& o : portsOf(sw)) count += o.link >= 0;
   return count;
 }
 
 std::optional<int> Topology::linkAt(SwitchPort sp) const {
-  for (int i = 0; i < numLinks(); ++i) {
-    if (links_[i].a == sp || links_[i].b == sp) return i;
-  }
-  return std::nullopt;
+  const PortOwner* o = ownerOf(sp);
+  if (o == nullptr || o->link < 0) return std::nullopt;
+  return o->link;
 }
 
 std::optional<HostId> Topology::hostAt(SwitchPort sp) const {
-  for (const HostLink& hl : hostLinks_) {
-    if (hl.attach == sp) return hl.host;
-  }
-  return std::nullopt;
+  const PortOwner* o = ownerOf(sp);
+  if (o == nullptr || o->host < 0) return std::nullopt;
+  return o->host;
 }
 
 Graph Topology::switchGraph() const {
@@ -72,18 +84,20 @@ std::optional<SwitchPort> Topology::neighborOf(SwitchPort sp) const {
   return l.a == sp ? l.b : l.a;
 }
 
+// Ports are allocated in link/host creation order, so walking them yields
+// ascending ids; a self-loop's two ports are adjacent and listed once.
 std::vector<int> Topology::linksOf(SwitchId sw) const {
   std::vector<int> out;
-  for (int i = 0; i < numLinks(); ++i) {
-    if (links_[i].a.sw == sw || links_[i].b.sw == sw) out.push_back(i);
+  for (const PortOwner& o : portsOf(sw)) {
+    if (o.link >= 0 && (out.empty() || out.back() != o.link)) out.push_back(o.link);
   }
   return out;
 }
 
 std::vector<HostId> Topology::hostsOf(SwitchId sw) const {
   std::vector<HostId> out;
-  for (const HostLink& hl : hostLinks_) {
-    if (hl.attach.sw == sw) out.push_back(hl.host);
+  for (const PortOwner& o : portsOf(sw)) {
+    if (o.host >= 0) out.push_back(o.host);
   }
   return out;
 }
@@ -94,7 +108,7 @@ Status<Error> Topology::validate(bool requireConnected) const {
     if (sp.sw < 0 || sp.sw >= numSwitches()) {
       return makeError(strFormat("link references unknown switch %d", sp.sw));
     }
-    if (sp.port < 0 || sp.port >= portsUsed_[sp.sw]) {
+    if (sp.port < 0 || sp.port >= radix(sp.sw)) {
       return makeError(strFormat("switch %d port %d out of range", sp.sw, sp.port));
     }
     if (!seen.insert(sp).second) {

@@ -7,9 +7,15 @@
 //     onto physical self-links / inter-switch links), and
 //   - host links (node attachments; these map onto dedicated host-facing
 //     physical ports and are excluded from the projection budget, §IV-A).
+//
+// Each switch keeps a port index: one owner (fabric link or host) per
+// allocated port, recorded by connect()/attachHost(). linkAt, hostAt,
+// neighborOf and radix are O(1); linksOf, hostsOf and fabricRadix are
+// O(degree). The topology is append-only, so the index never goes stale.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,12 +58,12 @@ class Topology {
  public:
   Topology() = default;
   explicit Topology(std::string name, int numSwitches = 0)
-      : name_(std::move(name)), portsUsed_(static_cast<std::size_t>(numSwitches), 0) {}
+      : name_(std::move(name)), ports_(static_cast<std::size_t>(numSwitches)) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
   void setName(std::string n) { name_ = std::move(n); }
 
-  [[nodiscard]] int numSwitches() const { return static_cast<int>(portsUsed_.size()); }
+  [[nodiscard]] int numSwitches() const { return static_cast<int>(ports_.size()); }
   [[nodiscard]] int numHosts() const { return static_cast<int>(hostLinks_.size()); }
   [[nodiscard]] int numLinks() const { return static_cast<int>(links_.size()); }
 
@@ -77,7 +83,7 @@ class Topology {
   [[nodiscard]] const HostLink& hostLink(HostId h) const { return hostLinks_[h]; }
 
   /// Total ports in use on switch `sw` (fabric + host-facing).
-  [[nodiscard]] int radix(SwitchId sw) const { return portsUsed_[sw]; }
+  [[nodiscard]] int radix(SwitchId sw) const { return static_cast<int>(ports_[sw].size()); }
   /// Fabric-only port count on `sw` (what TP must provide, §IV-A).
   [[nodiscard]] int fabricRadix(SwitchId sw) const;
   /// Sum of fabric ports over all switches == 2 * numLinks().
@@ -110,10 +116,20 @@ class Topology {
   [[nodiscard]] Status<Error> validate(bool requireConnected = true) const;
 
  private:
-  PortId allocPort(SwitchId sw) { return portsUsed_[sw]++; }
+  /// What an allocated port carries: exactly one of a fabric link or a host.
+  struct PortOwner {
+    int link = -1;
+    HostId host = -1;
+  };
+
+  PortId allocPort(SwitchId sw, PortOwner owner);
+  /// Port owners of `sw`, indexed by port; empty for an unknown switch.
+  [[nodiscard]] std::span<const PortOwner> portsOf(SwitchId sw) const;
+  /// Owner of (sw, port); nullptr when the switch or port does not exist.
+  [[nodiscard]] const PortOwner* ownerOf(SwitchPort sp) const;
 
   std::string name_;
-  std::vector<int> portsUsed_;
+  std::vector<std::vector<PortOwner>> ports_;  // ports_[sw][port]
   std::vector<Link> links_;
   std::vector<HostLink> hostLinks_;
 };

@@ -99,8 +99,7 @@ void processGrid3D(int ranks, int& px, int& py, int& pz) {
 
 void addHaloExchange3D(std::vector<Program>& programs, int px, int py, int pz,
                        std::int64_t faceBytes, int& tag) {
-  const int n = px * py * pz;
-  assert(static_cast<int>(programs.size()) == n);
+  assert(static_cast<int>(programs.size()) == px * py * pz);
   const auto id = [&](int x, int y, int z) { return (z * py + y) * px + x; };
   const int base = tag;
   for (int z = 0; z < pz; ++z) {

@@ -123,6 +123,65 @@ TEST(Deadlock, ShortestPathOnRingIsUnsafe) {
   EXPECT_FALSE(r.deadlockFree);
 }
 
+// Pinned analyzer outputs: channel ids follow the order the worklist
+// discovers channels, and the witness cycle is printed in the deploy
+// refusal message, so every report field must stay exactly as recorded.
+struct PinnedReport {
+  const char* strategy;
+  topo::Topology topo;
+  int channelsUsed;
+  int dependencyEdges;
+};
+
+TEST(DeadlockPin, TableThreePairs) {
+  const std::vector<PinnedReport> pins = {
+      {"fattree-dfs", topo::makeFatTree(4), 64, 128},
+      {"dragonfly-minimal", topo::makeDragonfly(4, 9, 2), 288, 432},
+      {"mesh-xy", topo::makeMesh2D(4, 4), 48, 68},
+      {"mesh-xyz", topo::makeMesh3D(3, 3, 3), 108, 198},
+      {"torus-clue", topo::makeTorus2D(5, 5), 120, 220},
+      {"torus-clue", topo::makeTorus3D(4, 4, 4), 432, 1056},
+  };
+  for (const PinnedReport& pin : pins) {
+    auto algo = makeRouting(pin.strategy, pin.topo);
+    ASSERT_TRUE(algo.ok()) << algo.error().message;
+    const DeadlockReport r = analyzeDeadlock(pin.topo, *algo.value());
+    EXPECT_TRUE(r.error.empty()) << pin.topo.name() << ": " << r.error;
+    EXPECT_TRUE(r.deadlockFree) << pin.topo.name();
+    EXPECT_TRUE(r.cycle.empty()) << pin.topo.name();
+    EXPECT_EQ(r.channelsUsed, pin.channelsUsed) << pin.topo.name();
+    EXPECT_EQ(r.dependencyEdges, pin.dependencyEdges) << pin.topo.name();
+  }
+}
+
+TEST(DeadlockPin, ShortestPathWitnessCycles) {
+  const topo::Topology ring = topo::makeRing(6);
+  const DeadlockReport r = analyzeDeadlock(ring, ShortestPathRouting(ring));
+  EXPECT_FALSE(r.deadlockFree);
+  EXPECT_EQ(r.channelsUsed, 12);
+  EXPECT_EQ(r.dependencyEdges, 12);
+  EXPECT_EQ(r.cycle, (std::vector<Channel>{
+                         {5, 0, 0}, {0, 0, 0}, {1, 0, 0}, {2, 0, 0}, {3, 0, 0}, {4, 0, 0}}));
+
+  const topo::Topology torus = topo::makeTorus2D(5, 5);
+  const DeadlockReport t = analyzeDeadlock(torus, ShortestPathRouting(torus));
+  EXPECT_FALSE(t.deadlockFree);
+  EXPECT_EQ(t.channelsUsed, 100);
+  EXPECT_EQ(t.dependencyEdges, 300);
+  EXPECT_EQ(t.cycle, (std::vector<Channel>{
+                         {24, 0, 0}, {20, 0, 0}, {21, 0, 0}, {22, 0, 0}, {23, 0, 0}}));
+}
+
+TEST(DeadlockPin, ClockwiseRingWitnessCycle) {
+  const topo::Topology ring = topo::makeRing(6);
+  const DeadlockReport r = analyzeDeadlock(ring, ClockwiseRingRouting(ring));
+  EXPECT_FALSE(r.deadlockFree);
+  EXPECT_EQ(r.channelsUsed, 6);
+  EXPECT_EQ(r.dependencyEdges, 6);
+  EXPECT_EQ(r.cycle, (std::vector<Channel>{
+                         {5, 0, 0}, {0, 0, 0}, {1, 0, 0}, {2, 0, 0}, {3, 0, 0}, {4, 0, 0}}));
+}
+
 TEST(Deadlock, ReportCountsChannels) {
   const topo::Topology m = topo::makeMesh2D(3, 3);
   auto algo = DimensionOrderRouting::create(m);

@@ -2,6 +2,9 @@
 // counters) and the switch pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "openflow/flow_table.hpp"
 #include "openflow/of_switch.hpp"
 
@@ -72,6 +75,38 @@ TEST(FlowTable, StableOrderWithinPriority) {
   EXPECT_EQ(t.lookup(header(0, 0))->actions[0].arg, 1);
 }
 
+TEST(FlowTable, InsertionOrderMatchesLinearScan) {
+  // add() finds its spot by binary search; the table order must equal a
+  // reference that scans for the first lower-priority entry, so equal
+  // priorities stay in insertion order. Interleaved removals keep the
+  // table sorted for later adds.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    FlowTable t(4096);
+    std::vector<FlowEntry> reference;
+    for (std::uint32_t i = 0; i < 2000; ++i) {
+      FlowEntry e;
+      e.priority = static_cast<int>(rng.below(seed % 2 == 0 ? 4 : 64)) - 2;
+      e.cookie = makeCookie(1 + static_cast<std::uint32_t>(rng.below(3)), i);
+      ASSERT_TRUE(t.add(e).ok());
+      reference.insert(std::find_if(reference.begin(), reference.end(),
+                                    [&](const FlowEntry& r) { return r.priority < e.priority; }),
+                       e);
+      if (rng.below(50) == 0) {
+        const std::uint32_t epoch = 1 + static_cast<std::uint32_t>(rng.below(3));
+        EXPECT_EQ(t.removeByEpoch(epoch),
+                  static_cast<std::size_t>(std::erase_if(reference, [&](const FlowEntry& r) {
+                    return cookieEpoch(r.cookie) == epoch;
+                  })));
+      }
+    }
+    ASSERT_EQ(t.size(), reference.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(t.entries()[i].cookie, reference[i].cookie) << "seed " << seed << " pos " << i;
+    }
+  }
+}
+
 TEST(FlowTable, CapacityEnforced) {
   FlowTable t(2);
   EXPECT_TRUE(t.add(FlowEntry{}).ok());
@@ -107,7 +142,7 @@ TEST(FlowTable, CountersUpdateOnlyOnLookupAndCount) {
   ASSERT_TRUE(t.add(e).ok());
   t.lookupAndCount(header(0, 0), 100);
   t.lookupAndCount(header(0, 0), 50);
-  t.lookup(header(0, 0));  // const peek: no counting
+  EXPECT_NE(t.lookup(header(0, 0)), nullptr);  // const peek: no counting
   EXPECT_EQ(t.entries()[0].packetCount, 2u);
   EXPECT_EQ(t.entries()[0].byteCount, 150u);
 }

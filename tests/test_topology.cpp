@@ -3,6 +3,7 @@
 
 #include "topo/generators.hpp"
 #include "topo/topology.hpp"
+#include "topo/zoo.hpp"
 
 namespace sdt::topo {
 namespace {
@@ -182,6 +183,93 @@ TEST(Generators, HostsPerSwitchOption) {
   const Topology t = makeRing(4, GenOptions{.hostsPerSwitch = 3, .linkSpeed = Gbps{25.0}});
   EXPECT_EQ(t.numHosts(), 12);
   EXPECT_DOUBLE_EQ(t.link(0).speed.value, 25.0);
+}
+
+// Port-index differential: the O(1)/O(degree) lookups must answer exactly
+// what a scan over links() and hostLinks() answers, on every port up to
+// radix + 1 and on switch ids outside the topology.
+std::optional<int> scanLinkAt(const Topology& t, SwitchPort sp) {
+  for (int i = 0; i < t.numLinks(); ++i) {
+    if (t.link(i).a == sp || t.link(i).b == sp) return i;
+  }
+  return std::nullopt;
+}
+
+std::optional<HostId> scanHostAt(const Topology& t, SwitchPort sp) {
+  for (const HostLink& hl : t.hostLinks()) {
+    if (hl.attach == sp) return hl.host;
+  }
+  return std::nullopt;
+}
+
+std::optional<SwitchPort> scanNeighborOf(const Topology& t, SwitchPort sp) {
+  const auto li = scanLinkAt(t, sp);
+  if (!li) return std::nullopt;
+  return t.link(*li).a == sp ? t.link(*li).b : t.link(*li).a;
+}
+
+std::vector<int> scanLinksOf(const Topology& t, SwitchId sw) {
+  std::vector<int> out;
+  for (int i = 0; i < t.numLinks(); ++i) {
+    if (t.link(i).a.sw == sw || t.link(i).b.sw == sw) out.push_back(i);
+  }
+  return out;
+}
+
+std::vector<HostId> scanHostsOf(const Topology& t, SwitchId sw) {
+  std::vector<HostId> out;
+  for (const HostLink& hl : t.hostLinks()) {
+    if (hl.attach.sw == sw) out.push_back(hl.host);
+  }
+  return out;
+}
+
+int scanFabricRadix(const Topology& t, SwitchId sw) {
+  int count = 0;
+  for (const Link& l : t.links()) count += (l.a.sw == sw) + (l.b.sw == sw);
+  return count;
+}
+
+void expectIndexMatchesScan(const Topology& t) {
+  SCOPED_TRACE(t.name());
+  for (SwitchId sw = -2; sw < t.numSwitches() + 2; ++sw) {
+    const bool known = sw >= 0 && sw < t.numSwitches();
+    const PortId lastPort = known ? t.radix(sw) + 1 : 2;
+    for (PortId port = -1; port <= lastPort; ++port) {
+      const SwitchPort sp{sw, port};
+      EXPECT_EQ(t.linkAt(sp), scanLinkAt(t, sp)) << sw << "/" << port;
+      EXPECT_EQ(t.hostAt(sp), scanHostAt(t, sp)) << sw << "/" << port;
+      EXPECT_EQ(t.neighborOf(sp), scanNeighborOf(t, sp)) << sw << "/" << port;
+    }
+    EXPECT_EQ(t.linksOf(sw), scanLinksOf(t, sw)) << sw;
+    EXPECT_EQ(t.hostsOf(sw), scanHostsOf(t, sw)) << sw;
+    EXPECT_EQ(t.fabricRadix(sw), scanFabricRadix(t, sw)) << sw;
+  }
+}
+
+TEST(TopologyPortIndex, MatchesScanOnEveryGenerator) {
+  const GenOptions twoHosts{.hostsPerSwitch = 2};
+  for (const Topology& t :
+       {makeLine(6), makeRing(6), makeStar(5), makeFullMesh(5), makeHypercube(3),
+        makeFatTree(4), makeDragonfly(4, 9, 2), makeMesh2D(3, 4), makeMesh3D(2, 3, 2),
+        makeTorus2D(4, 5), makeTorus2D(2, 2), makeTorus3D(3, 3, 3), makeRing(4, twoHosts),
+        makeZooTopology(0), makeZooTopology(7)}) {
+    expectIndexMatchesScan(t);
+  }
+}
+
+TEST(TopologyPortIndex, MatchesScanWithSelfLoopAndInterleavedHosts) {
+  Topology t("mixed", 3);
+  t.attachHost(1);
+  t.connect(0, 1);
+  t.connect(1, 1);  // self-loop: two ports of switch 1, one link
+  t.attachHost(1);
+  t.connect(2, 0);
+  t.connect(1, 2);
+  t.attachHost(0);
+  EXPECT_EQ(t.linksOf(1), (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(t.fabricRadix(1), 4);
+  expectIndexMatchesScan(t);
 }
 
 }  // namespace
