@@ -7,27 +7,31 @@
 
 namespace sdt::sim {
 
+Simulator::Simulator() { std::fill(std::begin(heads_), std::end(heads_), kNoSlot); }
+
 Simulator::~Simulator() {
   // Destroy pending closures without running them.
-  for (const HeapItem& item : heap_) {
-    Slot& s = slotAt(item.slot());
-    s.dispatch(s, SlotOp::kDestroyOnly);
+  for (const std::uint32_t head : heads_) {
+    for (std::uint32_t idx = head; idx != kNoSlot; idx = keys_[idx].next) {
+      Slot& s = slotAt(idx);
+      s.dispatch(s, SlotOp::kDestroyOnly);
+    }
   }
 }
 
-void Simulator::seqOverflow() {
+void Simulator::scheduledIntoPast(Time when) const {
   std::fprintf(stderr,
-               "FATAL: simulator exhausted its %u-bit event sequence space "
-               "(2^%u schedule calls). Split the experiment into shorter runs.\n",
-               kSeqBits, kSeqBits);
+               "FATAL: event scheduled into the past (when=%lld ns < now=%lld ns). "
+               "Simulated time never runs backwards.\n",
+               static_cast<long long>(when), static_cast<long long>(now_));
   std::abort();
 }
 
 std::uint32_t Simulator::acquireSlot() {
   if (freeHead_ == kNoSlot) {
     const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunkSlots);
-    assert(base + kChunkSlots <= kSlotMask + 1 && "event arena exhausted");
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    keys_.resize(chunks_.size() * kChunkSlots);
     Slot* chunk = chunks_.back().get();
     for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
       chunk[i].nextFree = i + 1 < kChunkSlots ? base + i + 1 : kNoSlot;
@@ -44,65 +48,66 @@ void Simulator::releaseSlot(std::uint32_t idx) {
   freeHead_ = idx;
 }
 
-void Simulator::push(Time when, std::uint64_t seqSlot) {
-  const HeapItem item{when, seqSlot};
-  heap_.push_back(item);
-  // Sift up, moving holes instead of swapping (one store per level).
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!later(heap_[parent], item)) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+inline void Simulator::append(int bucket, std::uint32_t idx) {
+  Key& key = keys_[idx];
+  key.next = kNoSlot;
+  if (heads_[bucket] == kNoSlot) {
+    heads_[bucket] = idx;
+    mins_[bucket] = key.when;
+    if (bucket > 0) mask_ |= 1ULL << (bucket - 1);
+  } else {
+    keys_[tails_[bucket]].next = idx;
+    mins_[bucket] = std::min(mins_[bucket], key.when);
   }
-  heap_[i] = item;
+  tails_[bucket] = idx;
 }
 
-Simulator::HeapItem Simulator::popTop() {
-  const HeapItem top = heap_.front();
-  const HeapItem last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Bottom-up deletion: walk the hole down the min-child path all the way to
-  // a leaf (one comparison per level), then bubble the displaced last
-  // element back up (O(1) expected, since it usually belongs near a leaf).
-  // Roughly halves the comparisons of a textbook sift-down.
-  std::size_t hole = 0;
-  std::size_t child = 1;
-  while (child < n) {
-    // Min-child select as arithmetic, not a branch: which child wins is a
-    // coin flip the predictor can't learn.
-    if (child + 1 < n) {
-      child += static_cast<std::size_t>(later(heap_[child], heap_[child + 1]));
+void Simulator::push(Time when, std::uint32_t idx) {
+  keys_[idx].when = when;
+  append(bucketOf(when), idx);
+}
+
+Time Simulator::minPending() const {
+  return heads_[0] != kNoSlot ? floor_ : mins_[std::countr_zero(mask_) + 1];
+}
+
+std::uint32_t Simulator::popMin() {
+  if (heads_[0] == kNoSlot) {
+    // Raise the floor to the lowest non-empty bucket's minimum and spread
+    // that bucket over the lower ones, which are all empty. Its events agree
+    // with the new floor above bit b - 1, so they all land below b, in list
+    // (= schedule) order; higher buckets keep their bucket index.
+    const int b = std::countr_zero(mask_) + 1;
+    std::uint32_t idx = heads_[b];
+    heads_[b] = kNoSlot;
+    mask_ &= mask_ - 1;
+    floor_ = mins_[b];
+    while (idx != kNoSlot) {
+      const std::uint32_t next = keys_[idx].next;
+      append(bucketOf(keys_[idx].when), idx);
+      idx = next;
     }
-    heap_[hole] = heap_[child];
-    hole = child;
-    child = 2 * hole + 1;
   }
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 2;
-    if (!later(heap_[parent], last)) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = last;
-  return top;
+  const std::uint32_t idx = heads_[0];
+  heads_[0] = keys_[idx].next;
+  return idx;
 }
 
 Time Simulator::runLoop(Time deadline) {
   stopped_ = false;
   const Time start = now_;
-  while (!heap_.empty() && !stopped_ && heap_.front().when <= deadline) {
-    const HeapItem top = popTop();
-    now_ = top.when;
+  // Check the earliest time before popping: raising the floor past
+  // `deadline` would let a later schedule() land below it.
+  while (!empty() && !stopped_ && minPending() <= deadline) {
+    const std::uint32_t idx = popMin();
+    now_ = floor_;
     ++processed_;
     // The slot stays acquired while the closure executes, so nested
     // schedule() calls can never recycle the buffer under the running
     // closure.
-    Slot& s = slotAt(top.slot());
+    Slot& s = slotAt(idx);
     s.dispatch(s, SlotOp::kRunAndDestroy);
-    releaseSlot(top.slot());
+    releaseSlot(idx);
   }
   // Between runs the clock never moves backwards.
   now_ = std::max(now_, start);

@@ -5,18 +5,25 @@
 // One engine runs one experiment serially; independent experiments run in
 // parallel on separate engines through testbed::SweepRunner.
 //
-// Determinism contract: every event carries the key (when, seq), where seq
-// is a monotone counter bumped on every schedule call. Same-time events
-// therefore run in FIFO submission order, and a run is a pure function of
-// its inputs.
+// Determinism contract: events run in (when, seq) order, where seq is the
+// order of the schedule calls. Same-time events therefore run in FIFO
+// submission order, and a run is a pure function of its inputs.
 //
-// Hot-path layout: a hand-rolled binary min-heap of 16-byte {when, seq|slot}
-// records over an index-stable chunked slot arena with free-list reuse and
-// small-buffer-optimized inline closures; pop uses bottom-up hole deletion.
-// Steady-state scheduling does zero heap allocations.
+// Hot-path layout: a monotone radix queue (Ahuja, Mehlhorn, Orlin and
+// Tarjan's radix heap) over an index-stable chunked slot arena with
+// free-list reuse and small-buffer-optimized inline closures. Time never
+// runs backwards, so every pending `when` is at or above the queue's floor
+// (the last time it popped). An event sits in bucket 0 when `when` equals
+// the floor, else in bucket 1 + (highest bit where `when` and the floor
+// differ). Each bucket is an intrusive FIFO list threaded through `keys_`,
+// a {when, next} array parallel to the arena. Pushes append in schedule
+// order, and a bucket is redistributed into the (then empty) lower buckets
+// only when every lower bucket is empty, so every list stays in schedule
+// order and bucket 0's head is always the (when, seq) minimum. Steady-state
+// scheduling does zero heap allocations.
 #pragma once
 
-#include <cassert>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -34,32 +41,7 @@ using Time = TimeNs;
 
 class Simulator {
  public:
-  // -- Event-key bit budget ---------------------------------------------------
-  /// Low bits of a key word address the event's arena slot.
-  static constexpr unsigned kSlotBits = 24;
-  /// High bits: the FIFO sequence number. 2^40 schedule calls per engine
-  /// instance (~30 h sustaining 10M schedules/s) — checked at every push,
-  /// not assumed.
-  static constexpr unsigned kSeqBits = 40;
-  static_assert(kSlotBits + kSeqBits == 64, "key must fill one word");
-  static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
-  static constexpr std::uint64_t kMaxSeq = 1ULL << kSeqBits;
-
-  /// Canonical event-ordering key: (when, seq) compares as (when, packKey)
-  /// because seq occupies the high bits. Slot bits never decide an ordering
-  /// (seq is unique), they just ride along.
-  [[nodiscard]] static constexpr std::uint64_t packKey(std::uint64_t seq,
-                                                       std::uint32_t slot) {
-    return (seq << kSlotBits) | slot;
-  }
-  [[nodiscard]] static constexpr std::uint64_t keySeq(std::uint64_t key) {
-    return key >> kSlotBits;
-  }
-  [[nodiscard]] static constexpr std::uint32_t keySlot(std::uint64_t key) {
-    return static_cast<std::uint32_t>(key & kSlotMask);
-  }
-
-  Simulator() = default;
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -78,14 +60,14 @@ class Simulator {
     scheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Schedule `fn` at `when` >= now(). An earlier `when` aborts in every
+  /// build type: the queue would misorder it, not run it next.
   template <typename F>
   void scheduleAt(Time when, F&& fn) {
-    assert(when >= now_ && "cannot schedule into the past");
-    if (nextSeq_ >= kMaxSeq) seqOverflow();
-    const std::uint64_t keyHi = packKey(nextSeq_++, 0);
+    if (when < now_) scheduledIntoPast(when);
     const std::uint32_t idx = acquireSlot();
     constructClosure(slotAt(idx), std::forward<F>(fn));
-    push(when, keyHi | idx);
+    push(when, idx);
   }
 
   /// Run until the queue drains or stop() is called. Returns final time.
@@ -97,15 +79,11 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   [[nodiscard]] std::uint64_t eventsProcessed() const { return processed_; }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] bool empty() const { return heads_[0] == kNoSlot && mask_ == 0; }
 
   /// Arena capacity high-water mark (slots ever allocated); perf
   /// introspection.
   [[nodiscard]] std::size_t arenaCapacity() const { return chunks_.size() * kChunkSlots; }
-
-  /// Test-only: forge the next sequence number to exercise the overflow
-  /// boundary without scheduling 2^40 events.
-  void debugSetNextSeq(std::uint64_t seq) { nextSeq_ = seq; }
 
  private:
   /// Inline closure storage. Sized so the data plane's largest closure
@@ -114,6 +92,9 @@ class Simulator {
   static constexpr std::size_t kInlineBytes = 112;
   static constexpr std::size_t kChunkSlots = 256;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Bucket 0 holds events at the floor; bucket b > 0 those whose highest
+  /// bit differing from the floor is b - 1.
+  static constexpr int kBuckets = 65;
 
   /// What the slot's type-erased dispatcher should do; a single fused
   /// function pointer replaces separate invoke/destroy thunks so the hot
@@ -130,24 +111,13 @@ class Simulator {
   };
   static_assert(sizeof(Slot) == 128, "a Slot should fill two cache lines");
 
-  struct HeapItem {
-    Time when;
-    std::uint64_t seqSlot;  ///< packKey(seq, slot); breaks when-ties
-
-    [[nodiscard]] std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(seqSlot & kSlotMask);
-    }
+  /// A pending event's queue record, parallel to its arena slot: the queue
+  /// walks these 16-byte records, never the 128-byte slots.
+  struct Key {
+    Time when = 0;
+    std::uint32_t next = kNoSlot;  ///< next slot in the same bucket
   };
-  static_assert(sizeof(HeapItem) == 16);
-
-  /// True when `a` fires after `b` — the exact ordering the engine promises.
-  /// Seqs are unique, so comparing the combined key word is decided by seq
-  /// among same-time events. Bitwise (not short-circuit) ops: the outcome
-  /// is a data-dependent coin-flip in the heap walks, so flag arithmetic
-  /// beats a mispredicted branch.
-  [[nodiscard]] static bool later(const HeapItem& a, const HeapItem& b) {
-    return (a.when > b.when) | ((a.when == b.when) & (a.seqSlot > b.seqSlot));
-  }
+  static_assert(sizeof(Key) == 16);
 
   template <typename F>
   static void constructClosure(Slot& s, F&& fn) {
@@ -172,22 +142,33 @@ class Simulator {
     }
   }
 
-  [[noreturn]] static void seqOverflow();
+  [[noreturn]] void scheduledIntoPast(Time when) const;
 
   [[nodiscard]] Slot& slotAt(std::uint32_t idx) {
     return chunks_[idx / kChunkSlots][idx % kChunkSlots];
   }
+  [[nodiscard]] int bucketOf(Time when) const {
+    const auto diff = static_cast<std::uint64_t>(when) ^ static_cast<std::uint64_t>(floor_);
+    return 64 - std::countl_zero(diff);
+  }
   std::uint32_t acquireSlot();
   void releaseSlot(std::uint32_t idx);
-  void push(Time when, std::uint64_t seqSlot);
-  HeapItem popTop();
+  void append(int bucket, std::uint32_t idx);
+  void push(Time when, std::uint32_t idx);
+  /// Earliest pending time; the queue must not be empty.
+  [[nodiscard]] Time minPending() const;
+  std::uint32_t popMin();
   Time runLoop(Time deadline);
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;  ///< index-stable arena
+  std::vector<Key> keys_;                        ///< parallel to the arena
   std::uint32_t freeHead_ = kNoSlot;
-  std::vector<HeapItem> heap_;  ///< binary min-heap over (when, seq)
+  std::uint32_t heads_[kBuckets];       ///< first slot per bucket, kNoSlot if empty
+  std::uint32_t tails_[kBuckets] = {};  ///< last slot per non-empty bucket
+  Time mins_[kBuckets] = {};            ///< earliest `when` per non-empty bucket
+  std::uint64_t mask_ = 0;              ///< bit b - 1 set <=> bucket b > 0 non-empty
+  Time floor_ = 0;                      ///< every pending when >= floor_; floor_ <= now_
   Time now_ = 0;
-  std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
 };

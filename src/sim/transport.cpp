@@ -84,13 +84,16 @@ std::uint64_t TransportManager::sendMessage(int src, int dst, std::int64_t bytes
   RdmaFlow& flow = rdmaFlowFor(src, dst, vc);
   const std::uint64_t id = nextMessageId_++;
   flow.sendQueue.push_back(RdmaPending{id, bytes, 0});
-  rdmaRecv_[{flow.flowId, id}] = RdmaRecvState{};
-  rdmaMsgState_[id] = RdmaMsgState{bytes, std::move(onDelivered)};
+  rdmaMsgs_.emplace(id, RdmaMsgState{&flow, bytes, 0, std::move(onDelivered)});
   if (!flow.pumping) {
     flow.pumping = true;
-    sim_->schedule(0, [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
+    scheduleRdmaPump(flow, 0);
   }
   return id;
+}
+
+void TransportManager::scheduleRdmaPump(RdmaFlow& flow, Time delay) {
+  sim_->schedule(delay, [this, f = &flow]() { rdmaPump(*f); });
 }
 
 void TransportManager::rdmaPump(RdmaFlow& flow) {
@@ -103,13 +106,11 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
   // short and retry once the backlog should have drained.
   if (net_->hostQueueBytes(flow.src) > config_.nicBackpressureBytes) {
     const Time retry = Gbps{hostLineRateGbps_}.serializationNs(config_.nicBackpressureBytes);
-    sim_->schedule(std::max<Time>(retry, 500),
-                   [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
+    scheduleRdmaPump(flow, std::max<Time>(retry, 500));
     return;
   }
   if (now < flow.nextSendAt) {
-    sim_->schedule(flow.nextSendAt - now,
-                   [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
+    scheduleRdmaPump(flow, flow.nextSendAt - now);
     return;
   }
   RdmaPending& msg = flow.sendQueue.front();
@@ -131,22 +132,22 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
 
   // Pace at the DCQCN current rate.
   flow.nextSendAt = std::max(now, flow.nextSendAt) + Gbps{flow.rateGbps}.serializationNs(wire);
-  sim_->schedule(std::max<Time>(0, flow.nextSendAt - now),
-                 [this, fid = flow.flowId]() { rdmaPump(rdmaFlows_.at(fid)); });
+  scheduleRdmaPump(flow, std::max<Time>(0, flow.nextSendAt - now));
 }
 
 void TransportManager::onRdmaData(const Packet& packet) {
-  const auto key = std::pair{packet.flowId, packet.messageId};
-  const auto it = rdmaRecv_.find(key);
-  if (it == rdmaRecv_.end()) return;  // stray (e.g. isolation-test cross-talk)
-  it->second.receivedBytes += packet.payloadBytes;
+  const auto it = rdmaMsgs_.find(packet.messageId);
+  // Stray (e.g. isolation-test cross-talk): no such message on this flow.
+  if (it == rdmaMsgs_.end() || it->second.flow->flowId != packet.flowId) return;
+  RdmaMsgState& msg = it->second;
+  msg.receivedBytes += packet.payloadBytes;
   rdmaDelivered_[static_cast<std::size_t>(packet.dstHost)] += packet.payloadBytes;
 
   // DCQCN notification point: echo congestion back to the sender, at most
   // one CNP per cnpInterval per flow.
   if (packet.ecnMarked && config_.dcqcn.enabled) {
     const Time now = sim_->now();
-    Time& last = cnpLastSent_[packet.flowId];
+    Time& last = msg.flow->cnpLastSent;
     if (last == 0 || now - last >= config_.dcqcn.cnpInterval) {
       last = now;
       Packet cnp;
@@ -163,12 +164,9 @@ void TransportManager::onRdmaData(const Packet& packet) {
   }
 
   // Message completion.
-  const auto msgIt = rdmaMsgState_.find(packet.messageId);
-  if (msgIt == rdmaMsgState_.end()) return;
-  if (it->second.receivedBytes >= msgIt->second.bytes) {
-    auto cb = std::move(msgIt->second.onDelivered);
-    rdmaMsgState_.erase(msgIt);
-    rdmaRecv_.erase(it);
+  if (msg.receivedBytes >= msg.bytes) {
+    auto cb = std::move(msg.onDelivered);
+    rdmaMsgs_.erase(it);
     if (cb) cb(packet.messageId, sim_->now());
   }
 }
@@ -184,14 +182,11 @@ void TransportManager::onCnp(RdmaFlow& flow) {
   flow.recoverySteps = 0;
   if (!flow.timerRunning) {
     flow.timerRunning = true;
-    sim_->schedule(dc.rateTimer, [this, fid = flow.flowId]() { rdmaTimer(fid); });
+    sim_->schedule(dc.rateTimer, [this, f = &flow]() { rdmaTimer(*f); });
   }
 }
 
-void TransportManager::rdmaTimer(std::uint64_t flowId) {
-  auto it = rdmaFlows_.find(flowId);
-  if (it == rdmaFlows_.end()) return;
-  RdmaFlow& flow = it->second;
+void TransportManager::rdmaTimer(RdmaFlow& flow) {
   const DcqcnConfig& dc = config_.dcqcn;
   const double lineRate = net_->hostLinkSpeed(flow.src).value;
 
@@ -207,7 +202,7 @@ void TransportManager::rdmaTimer(std::uint64_t flowId) {
     flow.timerRunning = false;
     return;
   }
-  sim_->schedule(dc.rateTimer, [this, flowId]() { rdmaTimer(flowId); });
+  sim_->schedule(dc.rateTimer, [this, f = &flow]() { rdmaTimer(*f); });
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "sim/network.hpp"
 
@@ -76,12 +77,6 @@ class TransportManager {
     std::int64_t sentBytes = 0;
   };
 
-  /// Receiver-side completion bookkeeping, keyed by message id.
-  struct RdmaMsgState {
-    std::int64_t bytes = 0;
-    MessageCallback onDelivered;
-  };
-
   /// Unidirectional RoCE "queue pair" per (src, dst, vc).
   struct RdmaFlow {
     std::uint64_t flowId;
@@ -98,10 +93,18 @@ class TransportManager {
     bool timerRunning = false;
     Time lastCnpHandled = -1;
     Time nextSendAt = 0;
+    // Receiver-side notification point: when this flow last echoed a CNP.
+    Time cnpLastSent = 0;
   };
 
-  struct RdmaRecvState {
-    std::int64_t receivedBytes = 0;  ///< within the current (FIFO) message
+  /// Receiver-side bookkeeping of one in-flight message, keyed by message
+  /// id. `flow` is its owning flow: data for the id on any other flow is
+  /// stray and credits nothing.
+  struct RdmaMsgState {
+    RdmaFlow* flow = nullptr;
+    std::int64_t bytes = 0;
+    std::int64_t receivedBytes = 0;
+    MessageCallback onDelivered;
   };
 
   struct TcpFlow {
@@ -133,7 +136,8 @@ class TransportManager {
   void rdmaPump(RdmaFlow& flow);
   void onRdmaData(const Packet& packet);
   void onCnp(RdmaFlow& flow);
-  void rdmaTimer(std::uint64_t flowId);
+  void rdmaTimer(RdmaFlow& flow);
+  void scheduleRdmaPump(RdmaFlow& flow, Time delay);
   // TCP.
   void tcpPump(TcpFlow& flow);
   void onTcpData(TcpFlow& flow, const Packet& packet);
@@ -146,12 +150,11 @@ class TransportManager {
   TransportConfig config_;
   double hostLineRateGbps_ = 10.0;
 
-  std::map<std::uint64_t, RdmaFlow> rdmaFlows_;  ///< by flow id
-  std::map<std::pair<std::uint64_t, std::uint64_t>, RdmaRecvState>
-      rdmaRecv_;                                      ///< by (flow id, message id)
-  std::map<std::uint64_t, RdmaMsgState> rdmaMsgState_;  ///< by message id
-  std::map<std::uint64_t, Time> cnpLastSent_;           ///< by flow id
-  std::vector<std::int64_t> rdmaDelivered_;             ///< by destination host
+  /// By flow id. Nodes are stable, so events address a flow by pointer;
+  /// nothing iterates these maps, so their order decides nothing.
+  std::unordered_map<std::uint64_t, RdmaFlow> rdmaFlows_;
+  std::unordered_map<std::uint64_t, RdmaMsgState> rdmaMsgs_;  ///< by message id
+  std::vector<std::int64_t> rdmaDelivered_;                   ///< by destination host
   std::uint64_t cnpsSent_ = 0;
   /// Message/packet ids are opaque labels — nothing orders on them.
   std::uint64_t nextMessageId_ = 1;

@@ -54,6 +54,41 @@ TEST(Rdma, ManyMessagesFifoPerFlow) {
   EXPECT_EQ(completed, ids);  // same flow: in-order completion
 }
 
+TEST(Rdma, StrayDataOnAForeignFlowCreditsNothing) {
+  // A data packet that names a live message id but comes on another RDMA
+  // flow must neither credit bytes nor complete that message early.
+  Fixture f(topo::makeLine(3));
+  constexpr std::int64_t kBytes = 16 * 1024;
+  constexpr std::int64_t kStrayBytes = 1500;
+  int realArrived = 0;
+  int completions = 0;
+  int arrivedAtCompletion = 0;
+  std::int64_t deliveredAtCompletion = 0;
+  const std::uint64_t id = f.transport->sendMessage(0, 1, kBytes, 0, [&](std::uint64_t, Time) {
+    ++completions;
+    arrivedAtCompletion = realArrived;
+    deliveredAtCompletion = f.transport->rdmaDeliveredBytes(1);
+  });
+  f.built.net->setSniffer(1, [&](const Packet& p) {
+    if (p.kind == PacketKind::kData && p.srcHost == 0) ++realArrived;
+  });
+  Packet stray;
+  stray.id = 1ULL << 50;
+  stray.flowId = (1ULL << 40) | 0xABCDEF;  // an RDMA flow that owns nothing
+  stray.srcHost = 2;
+  stray.dstHost = 1;
+  stray.kind = PacketKind::kData;
+  stray.vc = 0;
+  stray.messageId = id;
+  stray.payloadBytes = kStrayBytes;
+  f.built.net->injectFromHost(2, stray);
+  f.sim.run();
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(arrivedAtCompletion, kBytes / 1024) << "completed before its last packet";
+  EXPECT_EQ(deliveredAtCompletion, kBytes);
+  EXPECT_EQ(f.transport->rdmaDeliveredBytes(1), kBytes);
+}
+
 TEST(Rdma, LargeMessageThroughputNearLineRate) {
   Fixture f(topo::makeLine(2));
   const std::int64_t bytes = 4 * kMiB;
