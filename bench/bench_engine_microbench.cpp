@@ -155,6 +155,37 @@ void BM_FlowTableLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableLookup)->Arg(64)->Arg(512)->Arg(2048);
 
+/// An ft8-deploy-shaped switch table: 8 960 rules over 80 in-ports x 112
+/// destinations, the average per-switch share of fat-tree k=8's 71 680.
+openflow::FlowTable makeFt8ShapedTable() {
+  constexpr int kInPorts = 80;
+  constexpr int kRules = 8960;
+  openflow::FlowTable table(16384);
+  table.reserve(kRules);
+  for (int i = 0; i < kRules; ++i) {
+    openflow::FlowEntry e;
+    e.priority = 100;
+    e.match.inPort = i % kInPorts;
+    e.match.dstAddr = static_cast<std::uint32_t>(i / kInPorts);
+    e.cookie = openflow::makeCookie(1, static_cast<std::uint32_t>(i % kInPorts) + 1);
+    e.actions = {openflow::Action::output((i + 1) % kInPorts)};
+    (void)table.add(std::move(e));
+  }
+  return table;
+}
+
+/// The lazy index build that the first lookup after deploy pays (inside the
+/// simulation run).
+void BM_FlowTableBuildIndex(benchmark::State& state) {
+  const openflow::FlowTable table = makeFt8ShapedTable();
+  for (auto _ : state) {
+    table.buildIndex();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(table.size()));
+}
+BENCHMARK(BM_FlowTableBuildIndex);
+
 void BM_PartitionDragonfly(benchmark::State& state) {
   const topo::Topology topo = topo::makeDragonfly(4, 9, 2);
   const topo::Graph g = topo.switchGraph();
@@ -336,6 +367,22 @@ double measureLookupsPerSec(int entries) {
   return best;
 }
 
+/// Microseconds per full index build of `table` (best of 3).
+double measureIndexBuildUs(const openflow::FlowTable& table) {
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const int n = 200;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < n; ++i) {
+      table.buildIndex();
+      benchmark::ClobberMemory();
+    }
+    const double us = secondsSince(start) * 1e6 / n;
+    best = rep == 0 ? us : std::min(best, us);
+  }
+  return best;
+}
+
 void writeHeadlineReport() {
   bench::JsonReport report("engine_microbench");
   report.set("events_per_sec", measureEventsPerSec());
@@ -346,6 +393,9 @@ void writeHeadlineReport() {
     report.row("flow_lookups", {{"entries", entries},
                                 {"lookups_per_sec", measureLookupsPerSec(entries)}});
   }
+  const openflow::FlowTable ft8 = makeFt8ShapedTable();
+  report.set("flow_index_build_rules", static_cast<int>(ft8.size()));
+  report.set("flow_index_build_us", measureIndexBuildUs(ft8));
   report.write();
 }
 

@@ -41,6 +41,29 @@ std::vector<int> componentLabels(const topo::Topology& topo,
   return component;
 }
 
+/// Rules compileFlowTables emits per physical switch at one VC: per logical
+/// switch, one per ingress port except the output port, for each host in
+/// its component. Exact at one VC, a lower bound at several, and times
+/// numVcs() an upper bound.
+std::vector<int> oneVcRulesPerSwitch(const topo::Topology& topo,
+                                     const projection::Projection& projection,
+                                     const std::vector<int>& component, int numPhysSwitches) {
+  std::vector<int> hostsInComponent(static_cast<std::size_t>(topo.numSwitches()), 0);
+  for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
+    ++hostsInComponent[component[topo.hostSwitch(h)]];
+  }
+  std::vector<int> rules(static_cast<std::size_t>(numPhysSwitches), 0);
+  for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
+    int ingress = static_cast<int>(topo.hostsOf(sw).size());
+    for (topo::PortId lp = 0; lp < topo.radix(sw); ++lp) {
+      if (projection.physOf(topo::SwitchPort{sw, lp}).valid()) ++ingress;
+    }
+    const int dsts = hostsInComponent[component[sw]];
+    if (ingress > 1 && dsts > 0) rules[projection.physSwitchOf(sw)] += (ingress - 1) * dsts;
+  }
+  return rules;
+}
+
 }  // namespace
 
 // Shared with crash recovery via controller/table_diff.hpp; doc comments
@@ -62,6 +85,13 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
   // A degraded topology may also have split: components follow the
   // *surviving* links.
   const std::vector<int> component = componentLabels(topo, severedMask);
+
+  const std::vector<int> oneVcRules =
+      oneVcRulesPerSwitch(topo, projection, component, plant.numSwitches());
+  for (std::size_t psw = 0; psw < tables.size(); ++psw) {
+    tables[psw].reserve(static_cast<std::size_t>(oneVcRules[psw]) *
+                        static_cast<std::size_t>(vcs));
+  }
 
   // Every packet is matched by (ingress port, destination [, VC]); the
   // ingress port pins the packet to its sub-switch, which is what keeps two
@@ -313,22 +343,8 @@ CheckReport SdtController::check(const std::vector<const topo::Topology*>& topol
     // Flow-table demand (§VII-C). Matches compileFlowTables exactly at one
     // VC — (ingress ports - 1) entries per reachable destination — and is a
     // lower bound for multi-VC strategies.
-    const std::vector<int> component = componentLabels(*t, nullptr);
-    std::map<int, int> hostsInComponent;
-    for (topo::HostId h = 0; h < t->numHosts(); ++h) {
-      ++hostsInComponent[component[t->hostSwitch(h)]];
-    }
-    std::vector<int> entriesPerPhys(static_cast<std::size_t>(plant_.numSwitches()), 0);
-    for (topo::SwitchId sw = 0; sw < t->numSwitches(); ++sw) {
-      int ingress = static_cast<int>(t->hostsOf(sw).size());
-      for (topo::PortId lp = 0; lp < t->radix(sw); ++lp) {
-        if (p.physOf(topo::SwitchPort{sw, lp}).valid()) ++ingress;
-      }
-      const int dsts = hostsInComponent[component[sw]];
-      if (ingress > 1 && dsts > 0) {
-        entriesPerPhys[p.physSwitchOf(sw)] += (ingress - 1) * dsts;
-      }
-    }
+    const std::vector<int> entriesPerPhys = oneVcRulesPerSwitch(
+        *t, p, componentLabels(*t, nullptr), plant_.numSwitches());
     for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
       report.maxFlowEntriesPerSwitch =
           std::max(report.maxFlowEntriesPerSwitch, entriesPerPhys[psw]);
@@ -362,7 +378,7 @@ Result<Deployment> SdtController::deploy(const topo::Topology& topo,
   deployment.projection = std::move(intent.value().projection);
   for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
     const projection::PhysicalSwitchSpec& spec = plant_.switches[psw];
-    const auto& entries = intent.value().tables[psw];
+    auto& entries = intent.value().tables[psw];
     if (entries.size() > spec.flowTableCapacity) {
       return makeError(strFormat(
           "physical switch %d needs %zu flow entries but '%s' holds %zu "
@@ -371,8 +387,9 @@ Result<Deployment> SdtController::deploy(const topo::Topology& topo,
     }
     auto ofs = std::make_shared<openflow::Switch>(psw, spec.numPorts,
                                                   spec.flowTableCapacity);
-    for (const openflow::FlowEntry& e : entries) {
-      if (auto s = ofs->table().add(e); !s) return s.error();
+    ofs->table().reserve(entries.size());
+    for (openflow::FlowEntry& e : entries) {
+      if (auto s = ofs->table().add(std::move(e)); !s) return s.error();
     }
     ofs->setIngressEpoch(deployment.epoch);
     deployment.switches.push_back(std::move(ofs));

@@ -1,10 +1,20 @@
 #include "openflow/flow_table.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/strings.hpp"
 
 namespace sdt::openflow {
+
+void ActionList::overflow() {
+  std::fprintf(stderr,
+               "FATAL: flow entry action list is full (%zu actions, one per "
+               "ActionType)\n",
+               kCapacity);
+  std::abort();
+}
 
 int Match::specificity() const {
   int n = 0;
@@ -104,6 +114,7 @@ std::size_t FlowTable::restampTenantEpoch(std::uint32_t epoch) {
     e.cookie = makeCookie(epoch, cookieTag(e.cookie));
     ++changed;
   }
+  indexDirty_ = indexDirty_ || changed > 0;  // the index caches rule epochs
   restampsTotal_ += changed;
   return changed;
 }
@@ -115,6 +126,7 @@ std::size_t FlowTable::restampEpoch(std::uint32_t epoch) {
     e.cookie = makeCookie(epoch, cookieTag(e.cookie));
     ++changed;
   }
+  indexDirty_ = indexDirty_ || changed > 0;  // the index caches rule epochs
   restampsTotal_ += changed;
   return changed;
 }
@@ -144,16 +156,55 @@ void FlowTable::clear() {
 }
 
 void FlowTable::buildIndex() const {
-  index_.clear();
+  records_.clear();
+  keySlots_.clear();
   residual_.clear();
+  std::size_t keyed = 0;
+  for (const FlowEntry& e : entries_) keyed += e.match.inPort && e.match.dstAddr;
+  if (keyed > 0) {
+    int bits = 1;  // power-of-two slot count, load factor <= 1/2
+    while ((std::size_t{1} << bits) < 2 * keyed) ++bits;
+    keySlots_.assign(std::size_t{1} << bits, KeySlot{});
+    slotShift_ = 64 - bits;
+  }
+  const std::size_t mask = keySlots_.size() - 1;
+
+  // Counting sort by key: count each key's entries, lay the runs out back
+  // to back, then fill every run in table order.
+  std::vector<std::uint32_t> slotOf;  // per keyed entry, in table order
+  slotOf.reserve(keyed);
   for (std::uint32_t pos = 0; pos < entries_.size(); ++pos) {
     const Match& m = entries_[pos].match;
-    if (m.inPort && m.dstAddr) {
-      index_[indexKey(*m.inPort, *m.dstAddr)].push_back(pos);
-    } else {
+    if (!(m.inPort && m.dstAddr)) {
       residual_.push_back(pos);
+      continue;
     }
+    const std::uint64_t key = indexKey(*m.inPort, *m.dstAddr);
+    std::size_t i = homeSlot(key);
+    while (keySlots_[i].count != 0 && keySlots_[i].key != key) i = (i + 1) & mask;
+    keySlots_[i].key = key;
+    ++keySlots_[i].count;
+    slotOf.push_back(static_cast<std::uint32_t>(i));
   }
+  std::uint32_t next = 0;
+  for (KeySlot& slot : keySlots_) {
+    slot.begin = next;
+    next += slot.count;
+  }
+  records_.resize(keyed);
+  std::size_t k = 0;
+  for (std::uint32_t pos = 0; pos < entries_.size(); ++pos) {
+    const FlowEntry& e = entries_[pos];
+    const Match& m = e.match;
+    if (!(m.inPort && m.dstAddr)) continue;
+    IndexRecord& r = records_[keySlots_[slotOf[k++]].begin++];
+    r.pos = pos;
+    r.ruleEpoch = cookieEpoch(e.cookie);
+    r.tc = m.trafficClass.value_or(0);
+    r.tcExact = m.trafficClass.has_value();
+    r.keyOnly = !m.srcAddr && !m.srcPort && !m.dstPort && !m.protocol;
+  }
+  for (KeySlot& slot : keySlots_) slot.begin -= slot.count;  // undo the fill cursor
   indexDirty_ = false;
 }
 
@@ -162,25 +213,33 @@ std::uint32_t FlowTable::findPos(const PacketHeader& header) const {
   // Epoch gate (consistent updates): a stamped header matches only rules of
   // its own epoch or epoch-wildcard rules; an unstamped header (epoch 0)
   // matches everything, preserving pre-epoch behaviour.
-  const auto epochOk = [&](const FlowEntry& e) {
-    const std::uint32_t re = cookieEpoch(e.cookie);
-    return header.epoch == 0 || re == 0 || re == header.epoch;
+  const auto epochOk = [&](std::uint32_t ruleEpoch) {
+    return header.epoch == 0 || ruleEpoch == 0 || ruleEpoch == header.epoch;
   };
   std::uint32_t best = kNoPos;
-  const auto bucket = index_.find(indexKey(header.inPort, header.dstAddr));
-  if (bucket != index_.end()) {
-    // Positions are ascending, i.e. in match-preference order: the first
-    // full match in the bucket is the best indexed candidate.
-    for (const std::uint32_t pos : bucket->second) {
-      if (epochOk(entries_[pos]) && entries_[pos].match.matches(header)) {
-        best = pos;
-        break;
+  if (!keySlots_.empty()) {
+    const std::uint64_t key = indexKey(header.inPort, header.dstAddr);
+    const std::size_t mask = keySlots_.size() - 1;
+    for (std::size_t i = homeSlot(key); keySlots_[i].count != 0; i = (i + 1) & mask) {
+      const KeySlot& slot = keySlots_[i];
+      if (slot.key != key) continue;
+      // A run is in match-preference order: its first full match is the
+      // best indexed candidate.
+      const IndexRecord* r = records_.data() + slot.begin;
+      for (const IndexRecord* end = r + slot.count; r != end; ++r) {
+        if (!epochOk(r->ruleEpoch)) continue;
+        if (r->keyOnly ? !r->tcExact || r->tc == header.trafficClass
+                       : entries_[r->pos].match.matches(header)) {
+          best = r->pos;
+          break;
+        }
       }
+      break;
     }
   }
   for (const std::uint32_t pos : residual_) {
     if (pos >= best) break;  // ascending: cannot beat the indexed winner
-    if (epochOk(entries_[pos]) && entries_[pos].match.matches(header)) {
+    if (epochOk(cookieEpoch(entries_[pos].cookie)) && entries_[pos].match.matches(header)) {
       best = pos;
       break;
     }

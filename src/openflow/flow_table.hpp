@@ -6,10 +6,12 @@
 // table entries are the scarce resource on commodity switches).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -114,10 +116,46 @@ struct Action {
   bool operator==(const Action&) const = default;
 };
 
+/// A rule's action list, stored inline: one slot per ActionType, so a rule
+/// never allocates and the pipeline reads its actions from the entry itself.
+/// Offers the part of the std::vector interface rules are built and read
+/// with. A push_back past the capacity aborts in every build type.
+class ActionList {
+ public:
+  static constexpr std::size_t kCapacity = static_cast<std::size_t>(ActionType::kDrop) + 1;
+
+  ActionList() = default;
+  ActionList(std::initializer_list<Action> actions) {
+    for (const Action& a : actions) push_back(a);
+  }
+
+  void push_back(const Action& a) {
+    if (size_ == kCapacity) overflow();
+    items_[size_++] = a;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const Action* begin() const { return items_.data(); }
+  [[nodiscard]] const Action* end() const { return items_.data() + size_; }
+  [[nodiscard]] const Action& operator[](std::size_t i) const { return items_[i]; }
+  [[nodiscard]] const Action& back() const { return items_[size_ - 1]; }
+
+  bool operator==(const ActionList& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+
+ private:
+  [[noreturn]] static void overflow();
+
+  std::array<Action, kCapacity> items_{};
+  std::uint8_t size_ = 0;
+};
+
 struct FlowEntry {
   int priority = 0;  ///< higher wins
   Match match;
-  std::vector<Action> actions;
+  ActionList actions;
   std::uint64_t cookie = 0;  ///< controller-assigned id for bulk delete
 
   // Per-entry counters (OpenFlow flow stats), bumped only by the non-const
@@ -133,16 +171,23 @@ struct FlowEntry {
 
 /// Priority-ordered table with a hard capacity (mirrors TCAM limits).
 ///
-/// Lookup is accelerated by an exact-match hash index keyed on
-/// (inPort, dstAddr) — the shape of every LinkProjector-generated entry — so
-/// SDT-mode forwarding is O(1) in the table size. Entries that wildcard
-/// either keyed field fall back to the priority-ordered linear scan; the two
-/// paths are merged by table position so results are identical to a pure
-/// scan (test_flow_table runs a randomized differential check).
+/// Lookup is accelerated by an exact-match index keyed on (inPort, dstAddr)
+/// — the shape of every LinkProjector-generated entry — so SDT-mode
+/// forwarding is O(1) in the table size. The index is one flat array of
+/// compact records grouped into per-key runs (ascending table position, so
+/// priority order with ties in insertion order), plus an open-addressed
+/// power-of-two table mapping each key to its run. A record caches what the
+/// lookup tests first: the rule's epoch, its traffic-class match, and
+/// whether (inPort, dstAddr, trafficClass) is its whole match, in which case
+/// the entry itself is never read. Entries that wildcard either keyed field
+/// fall back to the priority-ordered linear scan; the two paths are merged
+/// by table position so results are identical to a pure scan
+/// (test_flow_index runs randomized differential checks, epochs included).
 ///
-/// The index is rebuilt lazily after mutations. Mutations and lookups must
-/// not race; call buildIndex() after the last mutation before sharing the
-/// table across concurrent readers.
+/// The index is rebuilt lazily after every mutation, restamps included
+/// (they change the cached epochs). Mutations and lookups must not race;
+/// call buildIndex() after the last mutation before sharing the table
+/// across concurrent readers.
 class FlowTable {
  public:
   explicit FlowTable(std::size_t capacity = 4096) : capacity_(capacity) {}
@@ -157,6 +202,9 @@ class FlowTable {
   /// itself moves only the entries of lower priority, so appending at the
   /// lowest priority present is amortized O(1).
   Status<Error> add(FlowEntry entry);
+
+  /// Pre-size storage for `n` entries (bulk installs).
+  void reserve(std::size_t n) { entries_.reserve(std::min(n, capacity_)); }
 
   /// Remove all entries with the given cookie; returns how many.
   std::size_t removeByCookie(std::uint64_t cookie);
@@ -190,8 +238,8 @@ class FlowTable {
   /// cookie-rewrite flow-mod per switch, modeling an OFPFC_MODIFY sweep).
   /// Crash recovery uses this to adopt rules that survived a controller
   /// crash under a stale epoch stamp instead of paying a delete+add per
-  /// rule; returns how many entries changed. Match fields are untouched,
-  /// so the lookup index stays valid.
+  /// rule; returns how many entries changed. The index caches rule epochs,
+  /// so any change invalidates it.
   std::size_t restampEpoch(std::uint32_t epoch);
 
   /// Remove the first entry identical to `entry` under sameRule() (an
@@ -228,6 +276,10 @@ class FlowTable {
   }
   /// Table position of the winning entry, kNoPos on miss.
   [[nodiscard]] std::uint32_t findPos(const PacketHeader& header) const;
+  /// Home slot of `key` in keySlots_ (Fibonacci hashing).
+  [[nodiscard]] std::size_t homeSlot(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> slotShift_);
+  }
 
   std::size_t capacity_;
   std::vector<FlowEntry> entries_;  // kept sorted by descending priority
@@ -235,10 +287,25 @@ class FlowTable {
   std::uint64_t removesTotal_ = 0;
   std::uint64_t restampsTotal_ = 0;
 
-  // Lazily maintained lookup index: positions (ascending == match-preference
-  // order) of entries with concrete (inPort, dstAddr), bucketed by that key;
-  // everything else lands in residual_ and is scanned.
-  mutable std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
+  // Lazily built lookup index. records_ holds one record per entry with
+  // concrete (inPort, dstAddr), grouped by that key into runs of ascending
+  // table position; keySlots_ maps each key to its run (count 0 = empty
+  // slot). Everything else lands in residual_ and is scanned.
+  struct IndexRecord {
+    std::uint32_t pos = 0;
+    std::uint32_t ruleEpoch = 0;  ///< cookieEpoch() of the entry
+    std::uint8_t tc = 0;          ///< trafficClass match value, if tcExact
+    bool tcExact = false;
+    bool keyOnly = false;  ///< no match field beyond inPort, dstAddr, tc
+  };
+  struct KeySlot {
+    std::uint64_t key = 0;
+    std::uint32_t begin = 0;  ///< first record of the key's run
+    std::uint32_t count = 0;
+  };
+  mutable std::vector<IndexRecord> records_;
+  mutable std::vector<KeySlot> keySlots_;
+  mutable int slotShift_ = 63;
   mutable std::vector<std::uint32_t> residual_;
   mutable bool indexDirty_ = true;
 };

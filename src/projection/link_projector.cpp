@@ -179,7 +179,21 @@ Result<Projection> LinkProjector::project(const topo::Topology& topo, const Plan
 
   std::string lastError = "projection failed";
   const int maxParts = std::min(plant.numSwitches(), std::max(1, topo.numSwitches()));
+  // Seat bound: a p-way assignment uses plant switches 0..p-1 only, so if
+  // they hold fewer host ports than the topology has hosts, every attempt
+  // at p fails at host pinning and is skipped unpartitioned. The last
+  // switch count that makes an attempt always runs, so the error text of a
+  // projection that fits nowhere is the one the full search would give.
+  std::vector<int> seats(static_cast<std::size_t>(maxParts) + 1, 0);  // on switches < p
+  for (const PhysPort& port : plant.hostPorts) {
+    if (port.sw >= 0 && port.sw < maxParts) ++seats[static_cast<std::size_t>(port.sw) + 1];
+  }
+  std::partial_sum(seats.begin(), seats.end(), seats.begin());
+  const int lastTried = options.partitionAttempts > 0 ? maxParts : 1;
   for (int parts = 1; parts <= maxParts; ++parts) {
+    if (parts != lastTried && seats[static_cast<std::size_t>(parts)] < topo.numHosts()) {
+      continue;
+    }
     if (parts == 1) {
       std::vector<int> assignment(static_cast<std::size_t>(topo.numSwitches()), 0);
       auto r = projectWithAssignment(topo, plant, assignment);

@@ -11,18 +11,46 @@ namespace sdt::routing {
 
 namespace {
 
-/// Dense channel numbering discovered lazily.
+/// Dense channel numbering discovered lazily: ids are handed out in
+/// first-seen order and looked up in a flat (link, dir, vc) table. The VC
+/// stride starts at the algorithms' numVcs() and grows if a hop reports a
+/// higher VC.
 class ChannelIndex {
  public:
+  ChannelIndex(int numLinks, int numVcs)
+      : numLinks_(numLinks), vcStride_(numVcs), ids_(slotCount(numLinks, numVcs), -1) {}
+
   int idOf(Channel c) {
-    const auto [it, inserted] = ids_.try_emplace(c, static_cast<int>(channels_.size()));
-    if (inserted) channels_.push_back(c);
-    return it->second;
+    if (c.vc >= vcStride_) grow(c.vc + 1);
+    int& id = ids_[slot(c)];
+    if (id < 0) {
+      id = static_cast<int>(channels_.size());
+      channels_.push_back(c);
+    }
+    return id;
   }
   [[nodiscard]] const std::vector<Channel>& channels() const { return channels_; }
 
  private:
-  std::map<Channel, int> ids_;
+  static std::size_t slotCount(int numLinks, int vcStride) {
+    return static_cast<std::size_t>(numLinks) * 2 * static_cast<std::size_t>(vcStride);
+  }
+  [[nodiscard]] std::size_t slot(Channel c) const {
+    return (static_cast<std::size_t>(c.link) * 2 + static_cast<std::size_t>(c.dir)) *
+               static_cast<std::size_t>(vcStride_) +
+           static_cast<std::size_t>(c.vc);
+  }
+  void grow(int vcStride) {
+    vcStride_ = vcStride;
+    ids_.assign(slotCount(numLinks_, vcStride_), -1);
+    for (std::size_t id = 0; id < channels_.size(); ++id) {
+      ids_[slot(channels_[id])] = static_cast<int>(id);
+    }
+  }
+
+  int numLinks_;
+  int vcStride_;
+  std::vector<int> ids_;  ///< channel id per (link, dir, vc) slot, -1 unseen
   std::vector<Channel> channels_;
 };
 
@@ -54,7 +82,7 @@ struct StateInfo {
 /// Errors met while routing a state (rare, so kept apart from StateInfo).
 struct RouteErrors {
   std::string held;       ///< first error of any kind, in probe order
-  std::string injection;  ///< first unused-port error
+  std::string injection;  ///< first unused-port or negative-VC error
 };
 
 }  // namespace
@@ -63,7 +91,9 @@ DeadlockReport analyzeDeadlock(const topo::Topology& topo,
                                const std::vector<const RoutingAlgorithm*>& algos,
                                int hashProbes) {
   DeadlockReport report;
-  ChannelIndex index;
+  int maxVcs = 1;
+  for (const RoutingAlgorithm* algo : algos) maxVcs = std::max(maxVcs, algo->numVcs());
+  ChannelIndex index(topo.numLinks(), maxVcs);
   std::deque<StateInfo> states;  // stable addresses while routing adds states
   std::unordered_map<State, int, StateHash> stateIds;
   std::map<int, RouteErrors> errors;
@@ -100,6 +130,12 @@ DeadlockReport analyzeDeadlock(const topo::Topology& topo,
           // Ends the analysis on any visit, so probing stops here.
           err.injection = strFormat("hop via unused port (switch %d port %d)", st.sw,
                                     hop.value().outPort);
+          if (err.held.empty()) err.held = err.injection;
+          break;
+        }
+        if (hop.value().vc < 0) {
+          err.injection = strFormat("hop on negative VC %d (switch %d port %d)",
+                                    hop.value().vc, st.sw, hop.value().outPort);
           if (err.held.empty()) err.held = err.injection;
           break;
         }

@@ -123,6 +123,44 @@ TEST(Deadlock, ShortestPathOnRingIsUnsafe) {
   EXPECT_FALSE(r.deadlockFree);
 }
 
+// Clockwise ring routing that climbs one VC per hop (vc + step), declaring
+// `declaredVcs` regardless: the analyzer must not trust numVcs() to bound
+// the VCs a hop reports.
+class ClimbingRingRouting : public ClockwiseRingRouting {
+ public:
+  ClimbingRingRouting(const topo::Topology& topo, int declaredVcs, int step)
+      : ClockwiseRingRouting(topo), declaredVcs_(declaredVcs), step_(step) {}
+  [[nodiscard]] int numVcs() const override { return declaredVcs_; }
+  [[nodiscard]] Result<Hop> nextHop(topo::SwitchId sw, topo::HostId dst, int vc,
+                                    std::uint64_t flowHash) const override {
+    auto hop = ClockwiseRingRouting::nextHop(sw, dst, vc, flowHash);
+    if (hop) hop.value().vc = vc + step_;
+    return hop;
+  }
+
+ private:
+  int declaredVcs_;
+  int step_;
+};
+
+TEST(Deadlock, VcsAboveNumVcsGrowTheChannelIndex) {
+  const topo::Topology ring = topo::makeRing(6);
+  const DeadlockReport under = analyzeDeadlock(ring, ClimbingRingRouting(ring, 1, 1));
+  const DeadlockReport exact = analyzeDeadlock(ring, ClimbingRingRouting(ring, 6, 1));
+  EXPECT_TRUE(under.error.empty()) << under.error;
+  EXPECT_TRUE(under.deadlockFree);  // VCs only climb along a path
+  EXPECT_EQ(under.channelsUsed, exact.channelsUsed);
+  EXPECT_EQ(under.dependencyEdges, exact.dependencyEdges);
+  EXPECT_GT(under.channelsUsed, 6);  // more than one VC per ring link
+}
+
+TEST(Deadlock, NegativeVcFailsCleanly) {
+  const topo::Topology ring = topo::makeRing(6);
+  const DeadlockReport r = analyzeDeadlock(ring, ClimbingRingRouting(ring, 1, -1));
+  EXPECT_FALSE(r.deadlockFree);
+  EXPECT_NE(r.error.find("negative VC -1"), std::string::npos) << r.error;
+}
+
 // Pinned analyzer outputs: channel ids follow the order the worklist
 // discovers channels, and the witness cycle is printed in the deploy
 // refusal message, so every report field must stay exactly as recorded.

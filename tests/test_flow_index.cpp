@@ -2,8 +2,12 @@
 // lookup path must return exactly the entry a pure priority-ordered linear
 // scan would, on both controller-compiled tables (the (inPort, dstAddr)
 // shape the index is built for) and adversarial synthetic tables full of
-// wildcards, priority ties, and mid-stream mutations.
+// wildcards, priority ties, mixed rule epochs, stamped headers, and
+// mid-stream mutations and restamps. SDT_FAULT_SEED (the CI soak knob)
+// perturbs the randomized tables.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 #include "common/rng.hpp"
 #include "controller/controller.hpp"
@@ -14,11 +18,20 @@
 namespace sdt::openflow {
 namespace {
 
+std::uint64_t faultSeed() {
+  const char* env = std::getenv("SDT_FAULT_SEED");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0ULL;
+}
+
 /// The pre-index semantics, verbatim: entries are kept sorted by descending
-/// priority with stable insertion order, so the first match wins.
+/// priority with stable insertion order, so the first match wins — among
+/// rules the header's epoch admits (a stamped header sees its own epoch and
+/// epoch-0 wildcard rules; an unstamped one sees every rule).
 const FlowEntry* referenceLookup(const FlowTable& table, const PacketHeader& h) {
   for (const FlowEntry& e : table.entries()) {
-    if (e.match.matches(h)) return &e;
+    const std::uint32_t re = cookieEpoch(e.cookie);
+    const bool epochOk = h.epoch == 0 || re == 0 || re == h.epoch;
+    if (epochOk && e.match.matches(h)) return &e;
   }
   return nullptr;
 }
@@ -44,6 +57,8 @@ PacketHeader headerNear(const FlowEntry& e, Rng& rng, bool perturb) {
       default: h.trafficClass = static_cast<std::uint8_t>(rng.below(8)); break;
     }
   }
+  // Unstamped, or stamped with an epoch some (but not all) rules carry.
+  h.epoch = static_cast<std::uint32_t>(rng.below(4));
   return h;
 }
 
@@ -80,16 +95,66 @@ FlowEntry randomEntry(Rng& rng, std::uint64_t cookie) {
   return e;
 }
 
+/// randomEntry() whose cookie carries a random epoch in 0..3 (0 = wildcard).
+FlowEntry randomEpochEntry(Rng& rng, std::uint32_t tag) {
+  return randomEntry(rng, makeCookie(static_cast<std::uint32_t>(rng.below(4)), tag));
+}
+
 TEST(FlowIndex, MatchesLinearScanOnRandomizedTables) {
-  Rng rng(0xF10D1F10Du);
-  for (int trial = 0; trial < 8; ++trial) {
+  Rng rng(0xF10D1F10Du ^ faultSeed());
+  for (int trial = 0; trial < 16; ++trial) {
     FlowTable table(4096);
     const std::size_t n = 32 + rng.below(480);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(table.add(randomEntry(rng, i)).ok());
+    for (std::uint32_t i = 0; i < n; ++i) {
+      // Odd trials mix rule epochs; even ones keep every rule at epoch 0.
+      FlowEntry e = trial % 2 != 0 ? randomEpochEntry(rng, i) : randomEntry(rng, i);
+      ASSERT_TRUE(table.add(std::move(e)).ok());
     }
-    checkDifferential(table, rng, 2000);  // 16k probes across the trials
+    checkDifferential(table, rng, 2000);  // 32k probes across the trials
   }
+}
+
+TEST(FlowIndex, LookupAfterRestampSeesTheNewEpoch) {
+  // The index caches every rule's epoch, so a restamp must refresh it: a
+  // lookup before the restamp builds the index, and a lookup after it with
+  // the new epoch must still hit (and the old epoch must miss).
+  FlowTable table(16);
+  FlowEntry legacy;
+  legacy.priority = 100;
+  legacy.match.inPort = 1;
+  legacy.match.dstAddr = 5;
+  legacy.cookie = makeCookie(1, 7);
+  legacy.actions = {Action::output(2)};
+  ASSERT_TRUE(table.add(legacy).ok());
+  FlowEntry sliced = legacy;
+  sliced.match.dstAddr = 6;
+  sliced.cookie = makeCookie(makeScopedEpoch(3, 1), 8);
+  ASSERT_TRUE(table.add(sliced).ok());
+
+  PacketHeader h;
+  h.inPort = 1;
+  h.dstAddr = 5;
+  h.epoch = 1;
+  ASSERT_NE(table.lookup(h), nullptr);
+  EXPECT_EQ(table.restampEpoch(2), 2u);  // rewrites the slice's rule too
+  EXPECT_EQ(table.lookup(h), nullptr) << "stale epoch still cached";
+  h.epoch = 2;
+  EXPECT_EQ(table.lookup(h), &table.entries()[0]);
+
+  h.dstAddr = 6;
+  const std::uint32_t sliceEpoch = makeScopedEpoch(3, 1);
+  sliced.cookie = makeCookie(sliceEpoch, 8);
+  ASSERT_TRUE(table.removeExact(table.entries()[1]));
+  ASSERT_TRUE(table.add(sliced).ok());
+  h.epoch = sliceEpoch;
+  ASSERT_EQ(table.lookup(h), &table.entries()[1]);
+  EXPECT_EQ(table.restampTenantEpoch(makeScopedEpoch(3, 2)), 1u);
+  EXPECT_EQ(table.lookup(h), nullptr) << "stale tenant epoch still cached";
+  h.epoch = makeScopedEpoch(3, 2);
+  EXPECT_EQ(table.lookup(h), &table.entries()[1]);
+  h.dstAddr = 5;
+  h.epoch = 2;  // the restamp left the other tenant's rule alone
+  EXPECT_EQ(table.lookup(h), &table.entries()[0]);
 }
 
 TEST(FlowIndex, MatchesLinearScanOnControllerCompiledTables) {
@@ -103,7 +168,7 @@ TEST(FlowIndex, MatchesLinearScanOnControllerCompiledTables) {
   auto deployment = ctl.deploy(topo, routing);
   ASSERT_TRUE(deployment.ok()) << deployment.error().message;
 
-  Rng rng(0xC0117011u);
+  Rng rng(0xC0117011u ^ faultSeed());
   int probes = 0;
   for (const auto& sw : deployment.value().switches) {
     if (sw->table().size() == 0) continue;
@@ -114,21 +179,28 @@ TEST(FlowIndex, MatchesLinearScanOnControllerCompiledTables) {
 }
 
 TEST(FlowIndex, SurvivesMutationBetweenLookups) {
-  Rng rng(0xDEADBEA7u);
+  Rng rng(0xDEADBEA7u ^ faultSeed());
   FlowTable table(4096);
   for (std::size_t i = 0; i < 256; ++i) {
     ASSERT_TRUE(table.add(randomEntry(rng, i % 16)).ok());
   }
   checkDifferential(table, rng, 500);
-  // Interleave removals / inserts with differential probes: every mutation
-  // must invalidate the index.
-  for (int round = 0; round < 12; ++round) {
-    if (rng.below(2) == 0) {
-      table.removeByCookie(rng.below(16));
-    } else {
-      ASSERT_TRUE(table.add(randomEntry(rng, rng.below(16))).ok());
+  // Interleave removals / inserts / restamps with differential probes:
+  // every mutation must invalidate the index.
+  for (int round = 0; round < 24; ++round) {
+    switch (rng.below(4)) {
+      case 0: table.removeByCookie(table.entries()[rng.below(table.size())].cookie); break;
+      case 1: table.restampEpoch(static_cast<std::uint32_t>(rng.below(4))); break;
+      case 2: table.restampTenantEpoch(static_cast<std::uint32_t>(rng.below(4))); break;
+      default:
+        ASSERT_TRUE(
+            table.add(randomEpochEntry(rng, static_cast<std::uint32_t>(rng.below(16)))).ok());
+        break;
     }
-    if (table.size() > 0) checkDifferential(table, rng, 500);
+    if (table.size() == 0) {
+      ASSERT_TRUE(table.add(randomEpochEntry(rng, 0)).ok());
+    }
+    checkDifferential(table, rng, 500);
   }
   table.clear();
   PacketHeader any;
@@ -136,7 +208,7 @@ TEST(FlowIndex, SurvivesMutationBetweenLookups) {
 }
 
 TEST(FlowIndex, EagerBuildIndexMatchesLazy) {
-  Rng rng(0x5EED5EEDu);
+  Rng rng(0x5EED5EEDu ^ faultSeed());
   FlowTable lazy(4096);
   FlowTable eager(4096);
   for (std::uint64_t i = 0; i < 200; ++i) {

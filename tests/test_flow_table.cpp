@@ -1,12 +1,18 @@
 // Tests: OpenFlow flow-table semantics (priority matching, capacity,
-// counters) and the switch pipeline.
+// counters), the inline action list, and the switch pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "controller/controller.hpp"
+#include "controller/journal.hpp"
+#include "controller/recovery.hpp"
+#include "controller/table_diff.hpp"
 #include "openflow/flow_table.hpp"
 #include "openflow/of_switch.hpp"
+#include "routing/routing.hpp"
+#include "topo/generators.hpp"
 
 namespace sdt::openflow {
 namespace {
@@ -145,6 +151,90 @@ TEST(FlowTable, CountersUpdateOnlyOnLookupAndCount) {
   EXPECT_NE(t.lookup(header(0, 0)), nullptr);  // const peek: no counting
   EXPECT_EQ(t.entries()[0].packetCount, 2u);
   EXPECT_EQ(t.entries()[0].byteCount, 150u);
+}
+
+TEST(ActionList, KeepsPushOrderAndComparesByContent) {
+  ActionList list;
+  EXPECT_TRUE(list.empty());
+  list.push_back(Action::setVc(1));
+  list.push_back(Action::output(4));
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_FALSE(list.empty());
+  EXPECT_EQ(list[0], Action::setVc(1));
+  EXPECT_EQ(list.back(), Action::output(4));
+  std::vector<Action> seen(list.begin(), list.end());
+  EXPECT_EQ(seen, (std::vector<Action>{Action::setVc(1), Action::output(4)}));
+
+  EXPECT_EQ(list, (ActionList{Action::setVc(1), Action::output(4)}));
+  EXPECT_FALSE(list == (ActionList{Action::output(4), Action::setVc(1)}));  // order counts
+  EXPECT_FALSE(list == (ActionList{Action::setVc(1)}));                     // so does length
+  EXPECT_EQ(ActionList{}, ActionList{});
+}
+
+TEST(ActionListDeathTest, FifthActionAborts) {
+  ActionList list{Action::setQueue(1), Action::setVc(1), Action::output(2), Action::drop()};
+  ASSERT_EQ(list.size(), ActionList::kCapacity);
+  EXPECT_DEATH(list.push_back(Action::output(3)), "action list is full");
+}
+
+TEST(ActionList, RuleIdentityAndKeyUnchanged) {
+  FlowEntry a;
+  a.priority = 100;
+  a.cookie = makeCookie(1, 3);
+  a.match.inPort = 2;
+  a.match.dstAddr = 9;
+  a.actions = {Action::setVc(1), Action::output(4)};
+  EXPECT_EQ(controller::detail::ruleKey(a), "p100 c3 m{in=2 dst=9} a2:1 a0:4");
+
+  FlowEntry b = a;
+  b.packetCount = 7;  // counters are not identity
+  EXPECT_TRUE(sameRule(a, b));
+  b.actions = {Action::output(4)};
+  EXPECT_FALSE(sameRule(a, b));
+  EXPECT_NE(controller::detail::ruleKey(a), controller::detail::ruleKey(b));
+}
+
+TEST(ActionList, JournalRoundTripRebuildsIdenticalRules) {
+  // Rules recompiled from the journaled intent must equal the installed
+  // ones rule for rule, setVc + output action pairs included.
+  const topo::Topology torus = topo::makeTorus2D(3, 3);
+  auto routing = routing::makeRouting("torus-clue", torus);
+  ASSERT_TRUE(routing.ok()) << routing.error().message;
+  auto plant = projection::planPlant({&torus}, {.numSwitches = 2});
+  ASSERT_TRUE(plant.ok()) << plant.error().message;
+  const controller::SdtController ctl(std::move(plant).value());
+  auto dep = ctl.deploy(torus, *routing.value());
+  ASSERT_TRUE(dep.ok()) << dep.error().message;
+
+  controller::MemoryJournalStorage storage;
+  controller::Journal journal(storage);
+  controller::JournalRecord rec;
+  rec.kind = controller::JournalRecordKind::kDeploy;
+  rec.epoch = dep.value().epoch;
+  rec.topology = torus.name();
+  rec.routing = routing.value()->name();
+  ASSERT_TRUE(journal.append(rec).ok());
+  controller::IntentCatalog catalog;
+  catalog[torus.name()] = {&torus, routing.value().get()};
+  auto plan = controller::planRecovery(ctl, journal, catalog);
+  ASSERT_TRUE(plan.ok()) << plan.error().message;
+
+  int withSetVc = 0;
+  for (std::size_t psw = 0; psw < dep.value().switches.size(); ++psw) {
+    const std::vector<FlowEntry>& live = dep.value().switches[psw]->table().entries();
+    const std::vector<FlowEntry>& want = plan.value().tables[psw];
+    ASSERT_EQ(live.size(), want.size()) << "switch " << psw;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      ASSERT_TRUE(sameRule(live[i], want[i])) << "switch " << psw << " rule " << i;
+      ASSERT_EQ(controller::detail::ruleKey(live[i]), controller::detail::ruleKey(want[i]));
+      withSetVc += live[i].actions.size() == 2;
+    }
+    const controller::detail::TableDiff diff = controller::detail::diffEntries(live, want);
+    EXPECT_TRUE(diff.toRemove.empty());
+    EXPECT_TRUE(diff.toAdd.empty());
+    EXPECT_EQ(diff.restamps, 0);
+  }
+  EXPECT_GT(withSetVc, 0) << "no VC-changing rule exercised";
 }
 
 TEST(Switch, PipelineOutputAndCounters) {

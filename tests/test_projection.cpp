@@ -1,8 +1,12 @@
 // Tests: Link Projection (the SDT core algorithm, paper §IV).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "controller/config.hpp"
 #include "projection/link_projector.hpp"
 #include "topo/generators.hpp"
 
@@ -181,6 +185,142 @@ TEST_P(ProjectionSweep, ProjectsOnPlant) {
 INSTANTIATE_TEST_SUITE_P(PaperTopologies, ProjectionSweep,
                          ::testing::Values("fattree4", "dragonfly", "torus2d",
                                            "torus3d"));
+
+// project() skips switch counts whose plant switches cannot seat every
+// host. It must return exactly what the unpruned search returns: the same
+// projection, or the same error text.
+
+/// The search without the seat bound: every switch count from 1 up, every
+/// partition attempt.
+Result<Projection> projectUnpruned(const topo::Topology& topo, const Plant& plant,
+                                   const LinkProjectorOptions& options) {
+  if (auto s = topo.validate(/*requireConnected=*/false); !s) return s.error();
+  if (plant.numSwitches() == 0) return makeError("plant has no switches");
+  std::string lastError = "projection failed";
+  const int maxParts = std::min(plant.numSwitches(), std::max(1, topo.numSwitches()));
+  for (int parts = 1; parts <= maxParts; ++parts) {
+    if (parts == 1) {
+      std::vector<int> assignment(static_cast<std::size_t>(topo.numSwitches()), 0);
+      auto r = LinkProjector::projectWithAssignment(topo, plant, assignment);
+      if (r) return r;
+      lastError = r.error().message;
+      continue;
+    }
+    for (int attempt = 0; attempt < options.partitionAttempts; ++attempt) {
+      partition::PartitionOptions popt = options.partition;
+      popt.parts = parts;
+      popt.seed = options.partition.seed + static_cast<std::uint64_t>(attempt) * 7919;
+      auto part = partition::partitionGraph(topo.switchGraph(), popt);
+      if (!part) {
+        lastError = part.error().message;
+        continue;
+      }
+      auto r = LinkProjector::projectWithAssignment(topo, plant, part.value().assignment);
+      if (r) return r;
+      lastError = r.error().message;
+    }
+  }
+  return makeError("cannot project '" + topo.name() + "' onto this plant: " + lastError);
+}
+
+void expectSameProjection(const topo::Topology& topo, const Projection& a,
+                          const Projection& b, const std::string& what) {
+  for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
+    ASSERT_EQ(a.physSwitchOf(sw), b.physSwitchOf(sw)) << what << " switch " << sw;
+    for (topo::PortId lp = 0; lp < topo.radix(sw); ++lp) {
+      ASSERT_EQ(a.physOf({sw, lp}), b.physOf({sw, lp})) << what << " port " << sw << ":" << lp;
+    }
+  }
+  for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
+    ASSERT_EQ(a.hostPortOf(h), b.hostPortOf(h)) << what << " host " << h;
+  }
+  ASSERT_EQ(a.realizedLinks().size(), b.realizedLinks().size()) << what;
+  for (std::size_t i = 0; i < a.realizedLinks().size(); ++i) {
+    const RealizedLink& x = a.realizedLinks()[i];
+    const RealizedLink& y = b.realizedLinks()[i];
+    ASSERT_EQ(x.logicalLink, y.logicalLink) << what << " realized " << i;
+    ASSERT_EQ(x.interSwitch, y.interSwitch) << what << " realized " << i;
+    ASSERT_EQ(x.optical, y.optical) << what << " realized " << i;
+    ASSERT_EQ(x.physLink, y.physLink) << what << " realized " << i;
+  }
+  ASSERT_EQ(a.opticalCircuits().size(), b.opticalCircuits().size()) << what;
+  for (std::size_t i = 0; i < a.opticalCircuits().size(); ++i) {
+    ASSERT_EQ(a.opticalCircuits()[i].a, b.opticalCircuits()[i].a) << what << " circuit " << i;
+    ASSERT_EQ(a.opticalCircuits()[i].b, b.opticalCircuits()[i].b) << what << " circuit " << i;
+  }
+}
+
+TEST(LinkProjection, SeatBoundMatchesUnprunedSearch) {
+  std::vector<topo::Topology> topos = {
+      topo::makeFatTree(4),       topo::makeFatTree(8),   topo::makeDragonfly(4, 9, 2),
+      topo::makeTorus2D(5, 5),    topo::makeMesh2D(4, 4), topo::makeRing(6),
+      topo::makeLine(4, {.hostsPerSwitch = 3, .linkSpeed = Gbps{10}}),
+  };
+  for (const char* config : {"custom_triangle", "dragonfly", "fattree_k4", "incast_ft4",
+                             "line6", "partition_aggregate", "ring6", "torus_5x5"}) {
+    auto loaded = controller::loadExperimentConfig(std::string(SDT_SOURCE_DIR) +
+                                                   "/examples/configs/" + config + ".json");
+    ASSERT_TRUE(loaded.ok()) << config << ": " << loaded.error().message;
+    topos.push_back(std::move(loaded).value().topology);
+  }
+
+  int seatCut = 0;      // projected, with switch 0 alone too small to seat the hosts
+  int fewerFit = 0;     // projected on fewer switches than the plant has
+  int infeasible = 0;   // no switch count fits
+  for (const topo::Topology& topo : topos) {
+    const int hosts = topo.numHosts();
+    std::vector<Plant> plants;
+    for (const int n : {1, 2, 3, 4}) {
+      if (auto planned = planPlant({&topo}, {.numSwitches = n, .spec = openflow128x100G()})) {
+        plants.push_back(std::move(planned).value());
+      }
+    }
+    for (const PlantConfig& cfg : {
+             // every host fits on switch 0
+             PlantConfig{3, openflow128x100G(), std::max(1, hosts), 8},
+             // switches 0..1 seat too few hosts
+             PlantConfig{4, openflow128x100G(), std::max(1, (hosts + 2) / 3), 8},
+             // seats run out everywhere
+             PlantConfig{3, openflow64x100G(), std::max(1, hosts / 4), 8},
+             // seats fit from 2 switches on, but no inter-switch cables
+             PlantConfig{3, openflow128x100G(), std::max(1, (hosts + 1) / 2), 0},
+         }) {
+      if (auto built = buildPlant(cfg)) plants.push_back(std::move(built).value());
+    }
+    if (auto flex = buildPlant({4, openflow128x100G(), std::max(1, (hosts + 2) / 3), 1})) {
+      if (addOpticalFlex(flex.value(), 2).ok()) plants.push_back(std::move(flex).value());
+    }
+
+    for (std::size_t pi = 0; pi < plants.size(); ++pi) {
+      const Plant& plant = plants[pi];
+      for (const int attempts : {4, 1, 0}) {
+        LinkProjectorOptions options;
+        options.partitionAttempts = attempts;
+        const std::string what =
+            topo.name() + " plant " + std::to_string(pi) + " attempts " + std::to_string(attempts);
+        auto pruned = LinkProjector::project(topo, plant, options);
+        auto full = projectUnpruned(topo, plant, options);
+        ASSERT_EQ(pruned.ok(), full.ok())
+            << what << ": " << (pruned.ok() ? full.error().message : pruned.error().message);
+        if (!pruned.ok()) {
+          ASSERT_EQ(pruned.error().message, full.error().message) << what;
+          ++infeasible;
+          continue;
+        }
+        expectSameProjection(topo, pruned.value(), full.value(), what);
+        std::set<int> used;
+        for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
+          used.insert(pruned.value().physSwitchOf(sw));
+        }
+        fewerFit += static_cast<int>(used.size()) < plant.numSwitches();
+        seatCut += static_cast<int>(plant.hostPortsOf(0).size()) < hosts;
+      }
+    }
+  }
+  EXPECT_GT(seatCut, 0) << "no case exercised the seat bound";
+  EXPECT_GT(fewerFit, 0) << "no case fit on fewer switches than the plant has";
+  EXPECT_GT(infeasible, 0) << "no infeasible case";
+}
 
 }  // namespace
 }  // namespace sdt::projection
