@@ -11,9 +11,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "controller/controller.hpp"
@@ -69,29 +70,34 @@ void BM_EventSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventSteadyState)->Arg(100000);
 
+/// A schedule-delay mix: (delay, share in per mille) pairs summing to 1000.
+using DelayMix = std::vector<std::pair<sim::Time, int>>;
+
+/// The mix an ft8-deploy experiment schedules (seed 1, 2.2M schedules, mean
+/// pending set 1 424): 0 ns 11%, 51-71 ns serialization 23%, 360-363 ns
+/// pipeline 17%, 500 ns NIC 7%, 870-880 ns host serialization 21%, 6 553 ns
+/// NIC-backpressure retry 18%, 55 us DCQCN timer 3%. All but the timer fall
+/// inside the engine's near-time wheel.
+const DelayMix kDataPlaneMix = {{0, 110},   {51, 50},  {61, 125},  {71, 55},
+                                {361, 100}, {363, 70}, {500, 70},  {870, 180},
+                                {880, 30},  {6553, 180}, {55000, 30}};
+
+/// A timer-heavy mix the wheel cannot help: 85% of delays lie beyond
+/// kWheelNs, at admission-defer (50 us), DCQCN (55 us), admission-sample
+/// (100 us), TCP minimum-RTO (200 us), datacenter query (300 us) and
+/// backed-off RTO (1 ms) scale.
+const DelayMix kFarMix = {{0, 50},      {500, 100},    {50000, 150}, {55000, 150},
+                          {100000, 150}, {200000, 200}, {300000, 100}, {1000000, 100}};
+
 /// Hold model over the simulator's own queue shape: a constant pending set
 /// of ~1.4k events, each of which schedules one successor with a delay drawn
-/// from the mix an ft8-deploy experiment schedules (seed 1, 2.2M schedules,
-/// mean pending set 1 424): 0 ns 11%, 51-71 ns serialization 23%, 360-363 ns
-/// pipeline 17%, 500 ns NIC 7%, 870-880 ns host serialization 21%, 6 553 ns
-/// NIC-backpressure retry 18%, 55 us DCQCN timer 3%.
+/// from `mix`.
 class HoldModel {
  public:
   static constexpr std::size_t kPending = 1424;
 
-  explicit HoldModel(long events) : left_(events) {
-    constexpr std::array<std::pair<sim::Time, int>, 11> kMix = {{{0, 110},
-                                                                 {51, 50},
-                                                                 {61, 125},
-                                                                 {71, 55},
-                                                                 {361, 100},
-                                                                 {363, 70},
-                                                                 {500, 70},
-                                                                 {870, 180},
-                                                                 {880, 30},
-                                                                 {6553, 180},
-                                                                 {55000, 30}}};
-    for (const auto& [delay, perMille] : kMix) delays_.insert(delays_.end(), perMille, delay);
+  HoldModel(long events, const DelayMix& mix) : left_(events) {
+    for (const auto& [delay, perMille] : mix) delays_.insert(delays_.end(), perMille, delay);
     std::shuffle(delays_.begin(), delays_.end(), std::mt19937(1));
     for (std::size_t i = 0; i < kPending; ++i) sim_.schedule(delays_[i], Hop{this});
   }
@@ -122,12 +128,23 @@ class HoldModel {
 
 void BM_EventHoldRealisticMix(benchmark::State& state) {
   for (auto _ : state) {
-    HoldModel model(state.range(0));
+    HoldModel model(state.range(0), kDataPlaneMix);
     benchmark::DoNotOptimize(model.run());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventHoldRealisticMix)->Arg(200000);
+
+/// Most delays beyond the wheel horizon: datacenter and TCP-incast shaped
+/// runs, which lean on the radix tier.
+void BM_EventHoldFarMix(benchmark::State& state) {
+  for (auto _ : state) {
+    HoldModel model(state.range(0), kFarMix);
+    benchmark::DoNotOptimize(model.run());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EventHoldFarMix)->Arg(200000);
 
 openflow::FlowTable makeProjectorShapedTable(int entries) {
   openflow::FlowTable table(4096);
@@ -307,12 +324,12 @@ double measureBulkEventsPerSec() {
   return best;
 }
 
-/// events/sec, hold model: a ~1.4k pending set with the simulator's
-/// measured delay mix (see HoldModel).
-double measureHoldEventsPerSec() {
+/// events/sec, hold model: a ~1.4k pending set with the delay mix `mix`
+/// (see HoldModel).
+double measureHoldEventsPerSec(const DelayMix& mix) {
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    HoldModel model(500000);
+    HoldModel model(500000, mix);
     const auto start = std::chrono::steady_clock::now();
     const auto events = model.run();
     best = std::max(best, static_cast<double>(events) / secondsSince(start));
@@ -387,7 +404,8 @@ void writeHeadlineReport() {
   bench::JsonReport report("engine_microbench");
   report.set("events_per_sec", measureEventsPerSec());
   report.set("bulk_events_per_sec", measureBulkEventsPerSec());
-  report.set("hold_events_per_sec", measureHoldEventsPerSec());
+  report.set("hold_events_per_sec", measureHoldEventsPerSec(kDataPlaneMix));
+  report.set("hold_far_events_per_sec", measureHoldEventsPerSec(kFarMix));
   report.set("packets_per_sec", measurePacketsPerSec());
   for (const int entries : {64, 512, 2048}) {
     report.row("flow_lookups", {{"entries", entries},

@@ -20,15 +20,14 @@ std::uint32_t Network::PacketPool::acquire(Packet&& packet) {
   freeHead_ = node.next;
   node.packet = std::move(packet);
   node.next = kNil;
+  ++live_;
   return idx;
 }
 
-Packet Network::PacketPool::release(std::uint32_t idx) {
-  Node& node = nodeAt(idx);
-  Packet packet = std::move(node.packet);
-  node.next = freeHead_;
+void Network::PacketPool::release(std::uint32_t idx) {
+  nodeAt(idx).next = freeHead_;
   freeHead_ = idx;
-  return packet;
+  --live_;
 }
 
 int Network::addSwitch(int numPorts, Forwarder forwarder, TimeNs extraLatency) {
@@ -105,10 +104,12 @@ Network::Port& Network::portOf(NodeRef node, int port) {
 void Network::injectFromHost(int host, Packet packet) {
   packet.simIngressPort = -1;
   packet.injectedAt = sim_->now();
-  // NIC processing happens before the wire.
-  sim_->schedule(config_.nicLatency, [this, host, packet]() mutable {
-    enqueueEgress(NodeRef{NodeRef::Kind::kHost, host}, 0, std::move(packet));
-  });
+  // The packet enters the pool once; every data-plane event after this
+  // carries its handle. NIC processing happens before the wire.
+  const std::uint32_t pkt = pool_.acquire(std::move(packet));
+  auto toWire = [this, host, pkt]() { enqueueEgress(NodeRef{NodeRef::Kind::kHost, host}, 0, pkt); };
+  static_assert(Simulator::kFitsInline<decltype(toWire)>);
+  sim_->schedule(config_.nicLatency, toWire);
 }
 
 void Network::setReceiver(int host, std::function<void(const Packet&)> receiver) {
@@ -168,8 +169,9 @@ void Network::sendPause(int sw, int inPort, int cls, bool pause) {
   });
 }
 
-void Network::enqueueEgress(NodeRef node, int port, Packet packet) {
+void Network::enqueueEgress(NodeRef node, int port, std::uint32_t pkt) {
   Port& p = portOf(node, port);
+  Packet& packet = pool_.at(pkt);
   assert(p.peer.valid() && "packet routed out of an unwired port");
   const int cls = packet.vc;
   assert(cls >= 0 && cls < kNumClasses);
@@ -180,6 +182,7 @@ void Network::enqueueEgress(NodeRef node, int port, Packet packet) {
         p.egress.totalBytes + packet.wireBytes() > config_.lossyQueueCapBytes) {
       ++totalDrops_;
       ++p.counters.drops;
+      pool_.release(pkt);
       return;
     }
     if (config_.ecnEnabled && packet.ecnCapable && packet.kind == PacketKind::kData &&
@@ -195,14 +198,27 @@ void Network::enqueueEgress(NodeRef node, int port, Packet packet) {
   // Peak occupancy is a *switch buffer* invariant (hosts may stage
   // arbitrarily large software send queues).
   if (isSwitch) peakQueueBytes_ = std::max(peakQueueBytes_, p.egress.totalBytes);
-  const std::uint32_t pooled = pool_.acquire(std::move(packet));
+  pool_.linkAfter(pkt, kNil);
   if (p.egress.tail[cls] == kNil) {
-    p.egress.head[cls] = pooled;
+    p.egress.head[cls] = pkt;
   } else {
-    pool_.linkAfter(p.egress.tail[cls], pooled);
+    pool_.linkAfter(p.egress.tail[cls], pkt);
   }
-  p.egress.tail[cls] = pooled;
+  p.egress.tail[cls] = pkt;
   kickService(node, port);
+}
+
+std::uint32_t Network::dequeueEgress(NodeRef node, Port& p, int cls) {
+  const std::uint32_t pkt = p.egress.head[cls];
+  p.egress.head[cls] = pool_.nextOf(pkt);
+  if (p.egress.head[cls] == kNil) p.egress.tail[cls] = kNil;
+  const Packet& packet = pool_.at(pkt);
+  p.egress.bytes[cls] -= packet.wireBytes();
+  p.egress.totalBytes -= packet.wireBytes();
+  if (node.kind == NodeRef::Kind::kSwitch && packet.simIngressPort >= 0) {
+    releaseIngress(node.idx, packet.simIngressPort, packet);
+  }
+  return pkt;
 }
 
 void Network::kickService(NodeRef node, int port) {
@@ -228,15 +244,7 @@ void Network::serviceEgress(NodeRef node, int port) {
       }
     }
     if (cls < 0) return;
-    const std::uint32_t pooled = p.egress.head[cls];
-    p.egress.head[cls] = pool_.nextOf(pooled);
-    if (p.egress.head[cls] == kNil) p.egress.tail[cls] = kNil;
-    const Packet packet = pool_.release(pooled);
-    p.egress.bytes[cls] -= packet.wireBytes();
-    p.egress.totalBytes -= packet.wireBytes();
-    if (node.kind == NodeRef::Kind::kSwitch && packet.simIngressPort >= 0) {
-      releaseIngress(node.idx, packet.simIngressPort, packet);
-    }
+    pool_.release(dequeueEgress(node, p, cls));
     ++totalDrops_;
     ++faultDrops_;
     ++p.counters.drops;
@@ -258,17 +266,8 @@ void Network::serviceEgress(NodeRef node, int port) {
   }
   if (cls < 0) return;  // empty or fully paused; enqueue/unpause re-kicks
 
-  const std::uint32_t pooled = p.egress.head[cls];
-  p.egress.head[cls] = pool_.nextOf(pooled);
-  if (p.egress.head[cls] == kNil) p.egress.tail[cls] = kNil;
-  Packet packet = pool_.release(pooled);
-  p.egress.bytes[cls] -= packet.wireBytes();
-  p.egress.totalBytes -= packet.wireBytes();
-
-  if (node.kind == NodeRef::Kind::kSwitch && packet.simIngressPort >= 0) {
-    releaseIngress(node.idx, packet.simIngressPort, packet);
-  }
-
+  const std::uint32_t pkt = dequeueEgress(node, p, cls);
+  const Packet& packet = pool_.at(pkt);
   const Time ser = p.speed.serializationNs(packet.wireBytes());
   p.busyUntil = sim_->now() + ser;
   ++p.counters.txPackets;
@@ -284,20 +283,23 @@ void Network::serviceEgress(NodeRef node, int port) {
   } else {
     arrivalDelay = ser + p.propDelay;
   }
-  sim_->schedule(arrivalDelay, [this, peer, peerInPort, packet = std::move(packet)]() mutable {
+  auto arrive = [this, peer, peerInPort, pkt]() {
     if (peer.kind == NodeRef::Kind::kSwitch) {
-      arriveAtSwitch(peer.idx, peerInPort, std::move(packet));
+      arriveAtSwitch(peer.idx, peerInPort, pkt);
     } else {
-      deliverToHost(peer.idx, packet);
+      deliverToHost(peer.idx, pkt);
     }
-  });
+  };
+  static_assert(Simulator::kFitsInline<decltype(arrive)>);
+  sim_->schedule(arrivalDelay, arrive);
 
   // Keep draining.
   kickService(node, port);
 }
 
-void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
+void Network::arriveAtSwitch(int sw, int inPort, std::uint32_t pkt) {
   SwitchDev& dev = switches_[sw];
+  Packet& packet = pool_.at(pkt);
   Port& p = dev.ports[inPort];
   ++p.counters.rxPackets;
   p.counters.rxBytes += static_cast<std::uint64_t>(packet.wireBytes());
@@ -307,6 +309,7 @@ void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
     ++faultDrops_;
     ++p.counters.drops;
     ++p.counters.faultDrops;
+    pool_.release(pkt);
     return;
   }
   if (p.dropProb > 0.0 && faultRng_.uniform() < p.dropProb) {
@@ -314,6 +317,7 @@ void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
     ++faultDrops_;
     ++p.counters.drops;
     ++p.counters.faultDrops;
+    pool_.release(pkt);
     return;
   }
   if (p.corruptProb > 0.0 && faultRng_.uniform() < p.corruptProb) {
@@ -325,6 +329,7 @@ void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
   if (decision.drop || decision.outPort < 0) {
     ++totalDrops_;
     ++p.counters.drops;
+    pool_.release(pkt);
     return;
   }
   packet.vc = static_cast<std::uint8_t>(decision.vc);
@@ -332,13 +337,16 @@ void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
   packet.simIngressPort = inPort;
   const int outPort = decision.outPort;
   const Time latency = config_.switchLatency + dev.extraLatency;
-  sim_->schedule(latency, [this, sw, outPort, packet = std::move(packet)]() mutable {
-    enqueueEgress(NodeRef{NodeRef::Kind::kSwitch, sw}, outPort, std::move(packet));
-  });
+  auto toEgress = [this, sw, outPort, pkt]() {
+    enqueueEgress(NodeRef{NodeRef::Kind::kSwitch, sw}, outPort, pkt);
+  };
+  static_assert(Simulator::kFitsInline<decltype(toEgress)>);
+  sim_->schedule(latency, toEgress);
 }
 
-void Network::deliverToHost(int host, const Packet& packet) {
+void Network::deliverToHost(int host, std::uint32_t pkt) {
   HostDev& dev = hosts_[host];
+  const Packet& packet = pool_.at(pkt);
   ++dev.nic.counters.rxPackets;
   dev.nic.counters.rxBytes += static_cast<std::uint64_t>(packet.wireBytes());
   if (packet.corrupted) {  // NIC CRC check rejects the damaged frame
@@ -346,14 +354,20 @@ void Network::deliverToHost(int host, const Packet& packet) {
     ++faultDrops_;
     ++dev.nic.counters.drops;
     ++dev.nic.counters.faultDrops;
+    pool_.release(pkt);
     return;
   }
-  // NIC receive-side latency, then sniffer + transport.
-  sim_->schedule(config_.nicLatency, [this, host, packet]() {
+  // NIC receive-side latency, then sniffer + transport. The reference
+  // stays valid while they inject: pool chunks never move.
+  auto toHost = [this, host, pkt]() {
     HostDev& d = hosts_[host];
-    if (d.sniffer) d.sniffer(packet);
-    if (d.receiver) d.receiver(packet);
-  });
+    const Packet& delivered = pool_.at(pkt);
+    if (d.sniffer) d.sniffer(delivered);
+    if (d.receiver) d.receiver(delivered);
+    pool_.release(pkt);
+  };
+  static_assert(Simulator::kFitsInline<decltype(toHost)>);
+  sim_->schedule(config_.nicLatency, toHost);
 }
 
 }  // namespace sdt::sim

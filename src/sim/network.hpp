@@ -163,23 +163,28 @@ class Network {
   /// Maximum egress occupancy seen anywhere (lossless-invariant tests).
   [[nodiscard]] std::int64_t peakQueueBytes() const { return peakQueueBytes_; }
 
+  /// Packets injected and not yet delivered or dropped (live pool handles).
+  [[nodiscard]] std::size_t packetsInFlight() const { return pool_.live(); }
+
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  /// Free-list pool of packet nodes backing every egress queue. Chunked so
-  /// node indices stay stable as the pool grows; steady-state enqueue/dequeue
-  /// performs zero heap allocations (the deque-per-class layout it replaces
-  /// allocated and freed block storage on every burst).
+  /// Free-list pool holding every packet from injection to delivery or
+  /// drop. Egress queues link its nodes, and in-flight events (NIC, wire,
+  /// pipeline, delivery) carry a 4-byte handle instead of the packet.
+  /// Chunked so node indices and packet references stay stable as the pool
+  /// grows; steady-state forwarding performs zero heap allocations.
   class PacketPool {
    public:
     std::uint32_t acquire(Packet&& packet);
-    /// Frees the node and hands the packet back by value.
-    Packet release(std::uint32_t idx);
+    void release(std::uint32_t idx);
+    [[nodiscard]] Packet& at(std::uint32_t idx) const { return nodeAt(idx).packet; }
     [[nodiscard]] std::uint32_t nextOf(std::uint32_t idx) const {
       return nodeAt(idx).next;
     }
     void linkAfter(std::uint32_t idx, std::uint32_t next) { nodeAt(idx).next = next; }
     [[nodiscard]] std::size_t capacity() const { return chunks_.size() * kChunkNodes; }
+    [[nodiscard]] std::size_t live() const { return live_; }
 
    private:
     static constexpr std::size_t kChunkNodes = 256;
@@ -192,6 +197,7 @@ class Network {
     }
     std::vector<std::unique_ptr<Node[]>> chunks_;
     std::uint32_t freeHead_ = kNil;
+    std::size_t live_ = 0;
   };
 
   struct EgressQueue {
@@ -238,11 +244,14 @@ class Network {
   };
 
   Port& portOf(NodeRef node, int port);
-  void enqueueEgress(NodeRef node, int port, Packet packet);
+  /// Queue pooled packet `pkt` at an egress port (or drop and free it).
+  void enqueueEgress(NodeRef node, int port, std::uint32_t pkt);
+  /// Unlink the head of `cls` at `p` and uncharge its bytes; returns it.
+  std::uint32_t dequeueEgress(NodeRef node, Port& p, int cls);
   void kickService(NodeRef node, int port);
   void serviceEgress(NodeRef node, int port);
-  void arriveAtSwitch(int sw, int inPort, Packet packet);
-  void deliverToHost(int host, const Packet& packet);
+  void arriveAtSwitch(int sw, int inPort, std::uint32_t pkt);
+  void deliverToHost(int host, std::uint32_t pkt);
   void accountIngress(int sw, int inPort, const Packet& packet);
   void releaseIngress(int sw, int inPort, const Packet& packet);
   void sendPause(int sw, int inPort, int cls, bool pause);

@@ -7,15 +7,21 @@
 
 namespace sdt::sim {
 
-Simulator::Simulator() { std::fill(std::begin(heads_), std::end(heads_), kNoSlot); }
+Simulator::Simulator() : wheel_(std::make_unique_for_overwrite<WheelList[]>(kWheelNs)) {
+  std::fill(std::begin(heads_), std::end(heads_), kNoSlot);
+}
 
 Simulator::~Simulator() {
   // Destroy pending closures without running them.
-  for (const std::uint32_t head : heads_) {
+  const auto destroyList = [this](std::uint32_t head) {
     for (std::uint32_t idx = head; idx != kNoSlot; idx = keys_[idx].next) {
       Slot& s = slotAt(idx);
       s.dispatch(s, SlotOp::kDestroyOnly);
     }
+  };
+  for (const std::uint32_t head : heads_) destroyList(head);
+  for (int slot = wheelScan(0); slot >= 0; slot = wheelScan(slot + 1)) {
+    destroyList(wheel_[slot].head);
   }
 }
 
@@ -62,16 +68,81 @@ inline void Simulator::append(int bucket, std::uint32_t idx) {
   tails_[bucket] = idx;
 }
 
-void Simulator::push(Time when, std::uint32_t idx) {
-  keys_[idx].when = when;
-  append(bucketOf(when), idx);
+inline void Simulator::pushWheel(std::uint32_t idx) {
+  Key& key = keys_[idx];
+  key.next = kNoSlot;
+  const std::uint32_t slot = static_cast<std::uint32_t>(key.when) & kWheelMask;
+  WheelList& list = wheel_[slot];
+  std::uint64_t& word = wheelBits_[slot / 64];
+  const std::uint64_t bit = 1ULL << (slot % 64);
+  if (wheelCount_++ == 0 || key.when < wheelMin_) wheelMin_ = key.when;
+  if ((word & bit) != 0) {
+    keys_[list.tail].next = idx;
+  } else {
+    list.head = idx;
+    word |= bit;
+    wheelSummary_[slot / 4096] |= 1ULL << (slot / 64 % 64);
+  }
+  list.tail = idx;
 }
 
-Time Simulator::minPending() const {
+void Simulator::push(Time when, std::uint32_t idx) {
+  keys_[idx].when = when;
+  // Every pending when is >= now_, so within [now_, now_ + kWheelNs) a
+  // wheel slot stands for exactly one `when`.
+  if (when - now_ < kWheelNs) {
+    pushWheel(idx);
+  } else {
+    append(bucketOf(when), idx);
+  }
+}
+
+int Simulator::wheelScan(int from) const {
+  if (from >= static_cast<int>(kWheelNs)) return -1;
+  int w = from / 64;
+  std::uint64_t bits = wheelBits_[w] & (~0ULL << (from % 64));
+  if (bits == 0) {
+    ++w;  // the rest of the word is empty: find the next non-empty word
+    for (int sw = w / 64; bits == 0; ++sw) {
+      if (w >= kWheelWords) return -1;
+      const std::uint64_t summary = wheelSummary_[sw] & (~0ULL << (w % 64));
+      if (summary != 0) {
+        w = sw * 64 + std::countr_zero(summary);
+        bits = wheelBits_[w];
+      } else {
+        w = (sw + 1) * 64;
+      }
+    }
+  }
+  return w * 64 + std::countr_zero(bits);
+}
+
+inline std::uint32_t Simulator::popWheel() {
+  const int slot = static_cast<int>(static_cast<std::uint32_t>(wheelMin_) & kWheelMask);
+  WheelList& list = wheel_[slot];
+  const std::uint32_t idx = list.head;
+  list.head = keys_[idx].next;
+  --wheelCount_;
+  if (list.head == kNoSlot) {
+    std::uint64_t& word = wheelBits_[slot / 64];
+    word &= ~(1ULL << (slot % 64));
+    if (word == 0) wheelSummary_[slot / 4096] &= ~(1ULL << (slot / 64 % 64));
+    if (wheelCount_ != 0) {
+      // The slots after this one hold the next times up to the wheel's
+      // end; the wrapped ones below it hold the rest of the horizon.
+      int next = wheelScan(slot + 1);
+      if (next < 0) next = wheelScan(0);
+      wheelMin_ += (next - slot) & static_cast<int>(kWheelMask);
+    }
+  }
+  return idx;
+}
+
+inline Time Simulator::radixMin() const {
   return heads_[0] != kNoSlot ? floor_ : mins_[std::countr_zero(mask_) + 1];
 }
 
-std::uint32_t Simulator::popMin() {
+inline std::uint32_t Simulator::popRadix() {
   if (heads_[0] == kNoSlot) {
     // Raise the floor to the lowest non-empty bucket's minimum and spread
     // that bucket over the lower ones, which are all empty. Its events agree
@@ -96,11 +167,19 @@ std::uint32_t Simulator::popMin() {
 Time Simulator::runLoop(Time deadline) {
   stopped_ = false;
   const Time start = now_;
-  // Check the earliest time before popping: raising the floor past
-  // `deadline` would let a later schedule() land below it.
-  while (!empty() && !stopped_ && minPending() <= deadline) {
-    const std::uint32_t idx = popMin();
-    now_ = floor_;
+  while (!stopped_) {
+    const bool nearPending = wheelCount_ != 0;
+    const bool farPending = heads_[0] != kNoSlot || mask_ != 0;
+    if (!nearPending && !farPending) break;
+    const Time farWhen = farPending ? radixMin() : std::numeric_limits<Time>::max();
+    // On a tie the far tier runs first: it was scheduled earlier.
+    const bool far = !nearPending || farWhen <= wheelMin_;
+    const Time when = far ? farWhen : wheelMin_;
+    // Check the earliest time before popping: raising the radix floor past
+    // `deadline` would let a later schedule() land below it.
+    if (when > deadline) break;
+    const std::uint32_t idx = far ? popRadix() : popWheel();
+    now_ = when;
     ++processed_;
     // The slot stays acquired while the closure executes, so nested
     // schedule() calls can never recycle the buffer under the running
@@ -118,7 +197,9 @@ Time Simulator::run() { return runLoop(std::numeric_limits<Time>::max()); }
 
 Time Simulator::runUntil(Time deadline) {
   runLoop(deadline);
-  if (now_ < deadline) now_ = deadline;
+  // After stop() events before `deadline` may still be pending; the clock
+  // must not pass them.
+  if (!stopped_ && now_ < deadline) now_ = deadline;
   return now_;
 }
 

@@ -1,6 +1,9 @@
 // Tests: data plane — latency composition, queueing, PFC losslessness,
-// lossy drops, ECN marking, strict priority, cut-through.
+// lossy drops, ECN marking, strict priority, cut-through, and the packet
+// pool draining at every delivery and drop point.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "routing/shortest_path.hpp"
 #include "sim/builder.hpp"
@@ -228,6 +231,93 @@ TEST(Network, PortCountersTrack) {
   const PortCounters& in = f.net().switchPortCounters(0, hl.attach.port);
   EXPECT_EQ(in.rxPackets, 1u);
   EXPECT_GT(in.rxBytes, 1000u);
+}
+
+/// host 0 - sw 0 = sw 1 - host 1, wired by hand. Each switch forwards by
+/// destination (port 0 to its host, port 1 across) and finds no rule for
+/// flow kMissFlow.
+struct HandWiredPair {
+  static constexpr std::uint64_t kMissFlow = 7;
+  Simulator sim;
+  Network net;
+  HandWiredPair(NetworkConfig cfg, Gbps fabric) : net(sim, cfg) {
+    for (int sw = 0; sw < 2; ++sw) {
+      net.addSwitch(2, [sw](const Packet& p, int) {
+        ForwardResult r;
+        if (p.flowId == kMissFlow) return r;
+        r.drop = false;
+        r.outPort = p.dstHost == sw ? 0 : 1;
+        return r;
+      });
+      net.addHost();
+      net.connectHost(sw, sw, 0, Gbps{10.0}, cfg.hostPropDelay);
+    }
+    net.connectSwitches(0, 1, 1, 1, fabric, cfg.linkPropDelay);
+  }
+};
+
+TEST(Network, EveryPacketLeavesThePoolAtDeliveryOrDrop) {
+  struct Outcome {
+    int received = 0;
+    std::uint64_t drops = 0;
+    std::uint64_t faultDrops = 0;
+    std::uint64_t corrupted = 0;
+  };
+  static constexpr int kPackets = 20;
+  const auto drive = [](const char* what, NetworkConfig cfg, Gbps fabric, std::uint64_t flowId,
+                        const std::function<void(Network&)>& arm) {
+    SCOPED_TRACE(what);
+    HandWiredPair w(cfg, fabric);
+    Outcome out;
+    w.net.setReceiver(1, [&](const Packet&) { ++out.received; });
+    arm(w.net);
+    for (int i = 0; i < kPackets; ++i) {
+      Packet p = dataPacket(0, 1, 1000, static_cast<std::uint64_t>(i));
+      p.flowId = flowId;
+      w.net.injectFromHost(0, p);
+    }
+    EXPECT_EQ(w.net.packetsInFlight(), static_cast<std::size_t>(kPackets));
+    w.sim.run();
+    EXPECT_EQ(w.net.packetsInFlight(), 0u);
+    out.drops = w.net.totalDrops();
+    out.faultDrops = w.net.faultDrops();
+    out.corrupted = w.net.switchPortCounters(1, 1).corruptedPackets;
+    EXPECT_EQ(out.received + static_cast<int>(out.drops), kPackets);
+    return out;
+  };
+  const NetworkConfig lossless;
+  const Gbps line{10.0};
+  const auto none = [](Network&) {};
+
+  EXPECT_EQ(drive("delivery", lossless, line, 99, none).received, kPackets);
+
+  NetworkConfig lossy;
+  lossy.pfcEnabled = false;
+  lossy.lossyQueueCapBytes = 4 * 1024;
+  const Outcome overflow = drive("lossy overflow", lossy, Gbps{1.0}, 99, none);
+  EXPECT_GT(overflow.drops, 0u);
+  EXPECT_EQ(overflow.faultDrops, 0u);
+
+  const Outcome drained = drive("down-port drain", lossless, line, 99,
+                                [](Network& n) { n.setPortUp(0, 1, false); });
+  EXPECT_EQ(drained.faultDrops, static_cast<std::uint64_t>(kPackets));
+
+  const Outcome deadIngress = drive("arrival on a down port", lossless, line, 99,
+                                    [](Network& n) { n.setPortUp(1, 1, false); });
+  EXPECT_EQ(deadIngress.faultDrops, static_cast<std::uint64_t>(kPackets));
+
+  const Outcome impaired = drive("impairment drop", lossless, line, 99,
+                                 [](Network& n) { n.setPortImpairment(1, 1, 1.0, 0.0); });
+  EXPECT_EQ(impaired.faultDrops, static_cast<std::uint64_t>(kPackets));
+
+  const Outcome miss = drive("table miss", lossless, line, HandWiredPair::kMissFlow, none);
+  EXPECT_EQ(miss.drops, static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(miss.faultDrops, 0u);
+
+  const Outcome corrupt = drive("corrupted frame at the NIC", lossless, line, 99,
+                                [](Network& n) { n.setPortImpairment(1, 1, 0.0, 1.0); });
+  EXPECT_EQ(corrupt.corrupted, static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(corrupt.faultDrops, static_cast<std::uint64_t>(kPackets));
 }
 
 }  // namespace

@@ -73,6 +73,43 @@ TEST(Simulator, StopHaltsRun) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulator, RunUntilAfterStopKeepsTheClockBehindPendingEvents) {
+  // A stopped runUntil() must not advance the clock to its deadline: the
+  // 20 ns event is still pending, and time never runs backwards.
+  Simulator sim;
+  std::vector<std::pair<int, Time>> log;
+  sim.schedule(10, [&]() {
+    log.emplace_back(1, sim.now());
+    sim.stop();
+  });
+  sim.schedule(20, [&]() { log.emplace_back(2, sim.now()); });
+  EXPECT_EQ(sim.runUntil(100), 10);
+  EXPECT_EQ(sim.now(), 10);
+  sim.schedule(0, [&]() { log.emplace_back(3, sim.now()); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, Time>>{{1, 10}, {3, 10}, {2, 20}}));
+}
+
+TEST(Simulator, FarEventRunsBeforeNearEventAtTheSameTime) {
+  // Four events land on `t`: two from at or beyond the wheel horizon (the
+  // radix tier) and two from inside it (one wheel slot). Schedule order
+  // decides, so the far ones run first.
+  constexpr Time kHorizon = Simulator::kWheelNs;
+  Simulator sim;
+  std::vector<int> order;
+  const Time t = kHorizon + 300;
+  const auto at = [&](Time when, int id) {
+    sim.schedule(when, [&, id]() { sim.scheduleAt(t, [&, id]() { order.push_back(id); }); });
+  };
+  sim.scheduleAt(t, [&]() { order.push_back(1); });
+  at(300, 2);  // t - now == kWheelNs: far
+  at(301, 3);  // t - now == kWheelNs - 1: near
+  at(302, 4);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), t);
+}
+
 TEST(Simulator, ZeroDelayRunsNow) {
   Simulator sim;
   bool ran = false;
@@ -137,7 +174,7 @@ class ReferenceQueue {
 
   Time runUntil(Time deadline) {
     runLoop(deadline);
-    now_ = std::max(now_, deadline);
+    if (!stopped_) now_ = std::max(now_, deadline);
     return now_;
   }
 
@@ -207,7 +244,7 @@ class RandomWorkload {
 
   Time drawDelay() {
     const auto draw = [this](Time bound) { return static_cast<Time>(rng_() % bound); };
-    switch (rng_() % 8) {
+    switch (rng_() % 10) {
       case 0:
       case 1:
         return 0;  // zero-delay bursts
@@ -219,6 +256,11 @@ class RandomWorkload {
         return (Time{1} << 32) + draw(Time{1} << 33);  // crosses bit 32
       case 5:
         return draw(Time{1} << (1 + rng_() % 44));  // any bucket
+      case 6:
+        return Simulator::kWheelNs - 1 + draw(3);  // last wheel slot, or just past it
+      case 7:
+        // The shared timestamps of case 3, reached from beyond the horizon.
+        return 10000 - queue_.now() % 1000;
       default:
         return 350 + draw(60000);  // pipeline, NIC and timer scale
     }
@@ -231,7 +273,8 @@ class RandomWorkload {
 };
 
 /// Drive one workload through a mix of run(), runUntil() slices whose
-/// deadlines fall between events or exactly on the shared timestamps,
+/// deadlines fall between events, exactly on the shared timestamps or on
+/// either side of the wheel horizon,
 /// stop()/resume, and schedules from outside between slices.
 template <typename Queue>
 std::vector<std::pair<int, Time>> driveWorkload(std::uint64_t seed) {
@@ -240,7 +283,7 @@ std::vector<std::pair<int, Time>> driveWorkload(std::uint64_t seed) {
   std::mt19937_64 driver(seed ^ 0x9E3779B97F4A7C15ULL);
   for (int i = 0; i < 16; ++i) work.spawn();
   while (!queue.empty()) {
-    switch (driver() % 4) {
+    switch (driver() % 5) {
       case 0:
         queue.run();  // until drained or stopped
         break;
@@ -249,6 +292,9 @@ std::vector<std::pair<int, Time>> driveWorkload(std::uint64_t seed) {
         break;
       case 2:
         queue.runUntil((queue.now() / 1000 + 1 + static_cast<Time>(driver() % 3)) * 1000);
+        break;
+      case 3:  // a deadline on either side of the wheel horizon
+        queue.runUntil(queue.now() + Simulator::kWheelNs - 1 + static_cast<Time>(driver() % 3));
         break;
       default:
         queue.runUntil(queue.now() + (Time{1} << (driver() % 40)));
@@ -292,21 +338,28 @@ TEST(Simulator, DestroysPendingClosuresInEveryBucket) {
   int scheduled = 0;
   {
     Simulator sim;
-    // Pending events at the floor and in low, middle and top buckets.
-    for (const Time delay : {Time{0}, Time{0}, Time{1}, Time{3}, Time{700}, Time{1} << 20,
-                             Time{1} << 33, Time{1} << 40, Time{1} << 62}) {
+    // Events in wheel slots and in low, middle and top radix buckets;
+    // kHorizon and kHorizon + 200 share a bucket.
+    constexpr Time kHorizon = Simulator::kWheelNs;
+    for (const Time delay : {Time{0}, Time{0}, Time{1}, Time{3}, Time{700}, kHorizon - 1,
+                             kHorizon, kHorizon + 200, Time{1} << 20, Time{1} << 33,
+                             Time{1} << 40, Time{1} << 62}) {
       sim.schedule(delay, Counted{&destroyed, &ran});
       sim.schedule(delay, Big{&destroyed, &ran});
       scheduled += 2;
     }
-    // Run the first few so that some buckets have been redistributed.
-    sim.runUntil(1);
-    EXPECT_EQ(ran, 6);
-    EXPECT_EQ(destroyed, 6);
+    // Popping kHorizon spreads its bucket, so kHorizon + 200 stays pending
+    // in a redistributed one.
+    sim.runUntil(kHorizon + 100);
+    EXPECT_EQ(ran, 14);
+    EXPECT_EQ(destroyed, 14);
+    // Wheel slots left pending: now()'s, and a wrapped one below it.
     sim.schedule(0, Counted{&destroyed, &ran});
-    ++scheduled;
+    sim.schedule(kHorizon - 1, Counted{&destroyed, &ran});
+    sim.schedule(kHorizon - 1, Big{&destroyed, &ran});
+    scheduled += 3;
   }
-  EXPECT_EQ(ran, 6);
+  EXPECT_EQ(ran, 14);
   EXPECT_EQ(destroyed, scheduled);
 }
 
