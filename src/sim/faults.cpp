@@ -28,8 +28,14 @@ FaultInjector::FaultInjector(Simulator& sim, Network& net, std::uint64_t seed)
 
 void FaultInjector::arm() {
   for (; armed_ < schedule_.size(); ++armed_) {
-    const FaultSpec spec = schedule_[armed_];
-    sim_->scheduleAt(spec.at, [this, spec]() { apply(spec); });
+    // Carry the index, not the spec, so the closure stays inline; a copy
+    // keeps apply() safe if it schedules further faults.
+    auto fire = [this, i = armed_]() {
+      const FaultSpec spec = schedule_[i];
+      apply(spec);
+    };
+    static_assert(Simulator::kFitsInline<decltype(fire)>);
+    sim_->scheduleAt(schedule_[armed_].at, fire);
   }
 }
 

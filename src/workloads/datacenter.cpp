@@ -272,39 +272,59 @@ void ServingRuntime::fireBurstyFlow(Source& src) {
 
 void ServingRuntime::launchUnit(int srcHost, Priority cls, std::int64_t chargeBytes,
                                 std::function<void(TimeNs)> admitAction) {
-  sim_->schedule(0, [this, srcHost, cls, chargeBytes,
-                     admitAction = std::move(admitAction)]() mutable {
-    ++statsFor(cls).offered;
-    tryStart(srcHost, cls, chargeBytes, maxDefers(), sim_->now(), std::move(admitAction));
-  });
+  std::uint32_t unit;
+  if (freeUnits_.empty()) {
+    unit = static_cast<std::uint32_t>(pendingUnits_.size());
+    pendingUnits_.emplace_back();
+  } else {
+    unit = freeUnits_.back();
+    freeUnits_.pop_back();
+  }
+  pendingUnits_[unit] = {srcHost, cls, 0, chargeBytes, 0, std::move(admitAction)};
+  auto start = [this, unit]() {
+    PendingUnit& u = pendingUnits_[unit];
+    ++statsFor(u.cls).offered;
+    u.defersLeft = maxDefers();
+    u.bornAt = sim_->now();
+    tryStart(unit);
+  };
+  static_assert(sim::Simulator::kFitsInline<decltype(start)>);
+  sim_->schedule(0, start);
 }
 
-void ServingRuntime::tryStart(int srcHost, Priority cls, std::int64_t chargeBytes,
-                              int defersLeft, TimeNs bornAt,
-                              std::function<void(TimeNs)> admitAction) {
+void ServingRuntime::tryStart(std::uint32_t unit) {
+  PendingUnit& u = pendingUnits_[unit];
   if (admission_ != nullptr) {
-    switch (admission_->request(srcHost, cls, chargeBytes)) {
+    switch (admission_->request(u.srcHost, u.cls, u.chargeBytes)) {
       case admission::Decision::kShed:
-        ++statsFor(cls).shed;
+        ++statsFor(u.cls).shed;
+        u.admitAction = nullptr;
+        freeUnits_.push_back(unit);
         return;
       case admission::Decision::kDefer:
-        if (defersLeft > 0) {
-          ++statsFor(cls).deferRetries;
-          sim_->schedule(admission_->policy().deferDelay,
-                         [this, srcHost, cls, chargeBytes, defersLeft, bornAt,
-                          admitAction = std::move(admitAction)]() mutable {
-                           tryStart(srcHost, cls, chargeBytes, defersLeft - 1, bornAt,
-                                    std::move(admitAction));
-                         });
+        if (u.defersLeft > 0) {
+          --u.defersLeft;
+          ++statsFor(u.cls).deferRetries;
+          auto retry = [this, unit]() { tryStart(unit); };
+          static_assert(sim::Simulator::kFitsInline<decltype(retry)>);
+          sim_->schedule(admission_->policy().deferDelay, retry);
         } else {
-          ++statsFor(cls).shed;
+          ++statsFor(u.cls).shed;
+          u.admitAction = nullptr;
+          freeUnits_.push_back(unit);
         }
         return;
       case admission::Decision::kAdmit:
         break;
     }
   }
-  ++statsFor(cls).admitted;
+  ++statsFor(u.cls).admitted;
+  // The action may launch further units, which can grow pendingUnits_:
+  // take what it needs out of the table first.
+  const TimeNs bornAt = u.bornAt;
+  const std::function<void(TimeNs)> admitAction = std::move(u.admitAction);
+  u.admitAction = nullptr;
+  freeUnits_.push_back(unit);
   admitAction(bornAt);
 }
 

@@ -166,9 +166,8 @@ class ServingRuntime {
   /// place; exhausted defers shed.
   void launchUnit(int srcHost, Priority cls, std::int64_t chargeBytes,
                   std::function<void(TimeNs)> admitAction);
-  void tryStart(int srcHost, Priority cls, std::int64_t chargeBytes,
-                int defersLeft, TimeNs bornAt,
-                std::function<void(TimeNs)> admitAction);
+  /// One admission attempt for the pending unit `unit`.
+  void tryStart(std::uint32_t unit);
   /// Raw transport send, no admission gate (sub-flows of an admitted unit);
   /// `onDone(at)` fires when the message lands at `dstHost`.
   void sendUngated(int srcHost, int dstHost, std::int64_t bytes,
@@ -186,6 +185,19 @@ class ServingRuntime {
   admission::AdmissionController* admission_ = nullptr;
   admission::Policy sloPolicy_;  ///< SLO fallback when admission_ == nullptr
   std::vector<Source> sources_;
+  /// An admission unit between launchUnit() and its admit or shed decision.
+  /// Its events carry an index into pendingUnits_, so their closures stay
+  /// in the simulator's inline slot buffer.
+  struct PendingUnit {
+    int srcHost = -1;
+    Priority cls{};
+    int defersLeft = 0;
+    std::int64_t chargeBytes = 0;
+    TimeNs bornAt = 0;
+    std::function<void(TimeNs)> admitAction;
+  };
+  std::vector<PendingUnit> pendingUnits_;
+  std::vector<std::uint32_t> freeUnits_;  ///< reusable pendingUnits_ indices
   std::array<ClassStats, admission::kNumPriorities> perClass_{};
   // Obs cells (null when metrics not attached).
   std::array<obs::Counter*, admission::kNumPriorities> sloHitCtr_{};

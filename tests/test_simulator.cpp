@@ -339,7 +339,7 @@ TEST(Simulator, DestroysPendingClosuresInEveryBucket) {
   {
     Simulator sim;
     // Events in wheel slots and in low, middle and top radix buckets;
-    // kHorizon and kHorizon + 200 share a bucket.
+    // kHorizon, kHorizon + 50 and kHorizon + 200 share a bucket.
     constexpr Time kHorizon = Simulator::kWheelNs;
     for (const Time delay : {Time{0}, Time{0}, Time{1}, Time{3}, Time{700}, kHorizon - 1,
                              kHorizon, kHorizon + 200, Time{1} << 20, Time{1} << 33,
@@ -348,9 +348,13 @@ TEST(Simulator, DestroysPendingClosuresInEveryBucket) {
       sim.schedule(delay, Big{&destroyed, &ran});
       scheduled += 2;
     }
-    // Popping kHorizon spreads its bucket, so kHorizon + 200 stays pending
-    // in a redistributed one.
-    sim.runUntil(kHorizon + 100);
+    // Two far events share kHorizon + 50 and the first stops the run, so
+    // the second stays pending at the floor (bucket 0) and kHorizon + 200
+    // in a bucket that popping kHorizon redistributed.
+    sim.schedule(kHorizon + 50, [&sim]() { sim.stop(); });
+    sim.schedule(kHorizon + 50, Counted{&destroyed, &ran});
+    ++scheduled;
+    EXPECT_EQ(sim.runUntil(kHorizon + 100), kHorizon + 50);
     EXPECT_EQ(ran, 14);
     EXPECT_EQ(destroyed, 14);
     // Wheel slots left pending: now()'s, and a wrapped one below it.
